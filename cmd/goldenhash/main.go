@@ -144,6 +144,58 @@ func scaleFree(n int, seed int64) *topology.Graph {
 	return g
 }
 
+// hashGraph fingerprints an overlay's CSR bytes: every node in ascending
+// id order with its degree and its ascending neighbor row.
+func hashGraph(g *topology.Graph) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(v int32) {
+		for i := 0; i < 4; i++ {
+			b[i] = byte(uint32(v) >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	for _, id := range g.Nodes() {
+		row := g.NeighborsView(id)
+		put(int32(id))
+		put(int32(len(row)))
+		for _, nb := range row {
+			put(nb)
+		}
+	}
+	return h.Sum64()
+}
+
+// graphLines prints the generator fingerprint lines: the 100k-peer
+// scale-free overlays of the adaptive-tax and taxed-streaming scenarios
+// (seeds 7005 and 7008, the paper's alpha=2.5 and mean degree 20) and a
+// 100k random 20-regular graph. They pin the exact graph bytes the stub
+// matcher produces, independent of any simulator.
+func graphLines() {
+	sf := func(seed int64) func() (*topology.Graph, error) {
+		return func() (*topology.Graph, error) {
+			return topology.ScaleFree(topology.ScaleFreeConfig{N: 100_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(seed))
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() (*topology.Graph, error)
+	}{
+		{"sf-100k-7005", sf(7005)},
+		{"sf-100k-7008", sf(7008)},
+		{"regular-100k-d20", func() (*topology.Graph, error) {
+			return topology.RandomRegular(100_000, 20, xrand.New(7005))
+		}},
+	}
+	for _, c := range cases {
+		g, err := c.build()
+		if err != nil {
+			panic(c.name + ": " + err.Error())
+		}
+		fmt.Printf("graph/%-19s %016x\n", c.name, hashGraph(g))
+	}
+}
+
 func poisson() credit.Pricing {
 	p, err := credit.NewPoissonPricing(1.5, 0, xrand.New(9))
 	if err != nil {
@@ -620,6 +672,7 @@ func main() {
 	}
 
 	shardLines(*shards, *resume, false)
+	graphLines()
 
 	if *resume {
 		// Scenario presets are config sugar over the same two simulators;
