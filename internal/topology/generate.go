@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"creditp2p/internal/xrand"
 )
@@ -51,56 +52,13 @@ func ScaleFree(cfg ScaleFreeConfig, r *xrand.RNG) (*Graph, error) {
 		return nil, fmt.Errorf("degree sampler: %w", err)
 	}
 
-	g := NewGraph()
-	g.grow(cfg.N)
 	degrees := make([]int, cfg.N)
-	total := 0
-	for i := 0; i < cfg.N; i++ {
-		if err := g.AddNode(i); err != nil {
-			return nil, err
-		}
+	for i := range degrees {
 		degrees[i] = pl.Sample(r)
-		total += degrees[i]
 	}
-	// Carve every node's adjacency out of one slab sized by its drawn
-	// degree; stub losses only shrink realized degrees, so building an
-	// N-node overlay is O(edges) with O(1) slab allocations.
-	g.reserveAdjacency(degrees)
-	// Stub list: node i appears degrees[i] times.
-	stubs := make([]int, 0, total+1)
-	for i, d := range degrees {
-		for k := 0; k < d; k++ {
-			stubs = append(stubs, i)
-		}
-	}
-	if len(stubs)%2 == 1 {
-		stubs = append(stubs, r.Intn(cfg.N)) // make the stub count even
-	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-
-	// Pair stubs; re-draw partners a few times on conflicts, then give up on
-	// that pair (slight degree shortfall is acceptable for an overlay).
-	const retries = 20
-	for i := 0; i+1 < len(stubs); i += 2 {
-		a, b := stubs[i], stubs[i+1]
-		ok := a != b && !g.HasEdge(a, b)
-		// Swap stub b with a random later stub to retry the match.
-		for attempt := 0; !ok && attempt < retries && i+2 < len(stubs); attempt++ {
-			k := i + 2 + r.Intn(len(stubs)-i-2)
-			stubs[i+1], stubs[k] = stubs[k], stubs[i+1]
-			b = stubs[i+1]
-			ok = a != b && !g.HasEdge(a, b)
-		}
-		if ok {
-			if err := g.AddEdge(a, b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := EnsureConnected(g, r); err != nil {
-		return nil, err
-	}
-	return g, nil
+	// Re-draw partners a few times on conflicts, then give up on that pair
+	// (slight degree shortfall is acceptable for an overlay).
+	return configurationModel(degrees, 20, r)
 }
 
 // RandomRegular generates a connected random d-regular-ish graph by stub
@@ -114,43 +72,128 @@ func RandomRegular(n, d int, r *xrand.RNG) (*Graph, error) {
 	if n*d%2 == 1 {
 		return nil, fmt.Errorf("%w: n*d must be even", ErrBadParam)
 	}
+	degrees := make([]int, n)
+	for i := range degrees {
+		degrees[i] = d
+	}
+	return configurationModel(degrees, 50, r)
+}
+
+// configurationModel builds a connected graph on nodes 0..len(degrees)-1
+// by stub matching: node i contributes degrees[i] stubs (one extra stub
+// goes to a random node when the total is odd), the stubs are shuffled and
+// paired in order. A pair that would form a self-loop or a duplicate edge
+// swaps its second stub with a random later one, up to retries times, and
+// is dropped if every attempt conflicts. Leftover components are then
+// stitched together by EnsureConnected. degrees is consumed as scratch.
+//
+// Accepted edges are appended to rows reserved from the degree sequence,
+// unsorted, so the duplicate test is a linear scan of the shorter of the
+// two rows (mean-degree rows are a few cache lines, and a hub is only
+// scanned against another hub). One transpose pass then orders every row
+// into the dead stub buffer, so the build is O(stubs) plus the scans, with
+// no sorted inserts and no per-edge search.
+func configurationModel(degrees []int, retries int, r *xrand.RNG) (*Graph, error) {
+	n := len(degrees)
 	g := NewGraph()
 	g.grow(n)
-	degrees := make([]int, n)
-	for i := 0; i < n; i++ {
+	total := 0
+	for i, d := range degrees {
 		if err := g.AddNode(i); err != nil {
 			return nil, err
 		}
-		degrees[i] = d
+		total += d
 	}
-	g.reserveAdjacency(degrees)
-	stubs := make([]int, 0, n*d)
-	for i := 0; i < n; i++ {
+	if total >= math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d stubs overflow the 31-bit row offsets", ErrBadParam, total)
+	}
+	// Stub list: node i appears degrees[i] times, padded to an even
+	// count. Matched rows go to slab; ordered rows end up in stubs.
+	m := total + total%2
+	slab := make([]int32, m)
+	stubs := make([]int32, 0, m)
+	for i, d := range degrees {
 		for k := 0; k < d; k++ {
-			stubs = append(stubs, i)
+			stubs = append(stubs, int32(i))
 		}
+	}
+	if total%2 == 1 {
+		extra := r.Intn(n) // make the stub count even
+		stubs = append(stubs, int32(extra))
+		degrees[extra]++
 	}
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	const retries = 50
-	for i := 0; i+1 < len(stubs); i += 2 {
+
+	// rows[v] locates v's matched row in slab, at an offset reserved from
+	// its degree. Every accepted edge consumes one stub of each endpoint,
+	// so no row outgrows its reservation.
+	rows := make([]span, n)
+	off := int32(0)
+	for v, d := range degrees {
+		rows[v].start = off
+		off += int32(d)
+	}
+	for i := 0; i+1 < m; i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		ok := a != b && !g.HasEdge(a, b)
-		for attempt := 0; !ok && attempt < retries && i+2 < len(stubs); attempt++ {
-			k := i + 2 + r.Intn(len(stubs)-i-2)
+		ok := a != b && !linked(slab, rows[a], rows[b], a, b)
+		// Swap stub b with a random later stub to retry the match.
+		for attempt := 0; !ok && attempt < retries && i+2 < m; attempt++ {
+			k := i + 2 + r.Intn(m-i-2)
 			stubs[i+1], stubs[k] = stubs[k], stubs[i+1]
 			b = stubs[i+1]
-			ok = a != b && !g.HasEdge(a, b)
+			ok = a != b && !linked(slab, rows[a], rows[b], a, b)
 		}
 		if ok {
-			if err := g.AddEdge(a, b); err != nil {
-				return nil, err
-			}
+			ra, rb := &rows[a], &rows[b]
+			slab[ra.start+ra.n] = b
+			ra.n++
+			slab[rb.start+rb.n] = a
+			rb.n++
+			g.edges++
 		}
+	}
+
+	// Transpose into the stub buffer at the same offsets: walking sources
+	// in ascending id and appending each to its neighbors' rows leaves
+	// every row ascending, since the graph is undirected. degrees becomes
+	// the rows' write cursors; a row keeps its whole reservation as
+	// capacity for later churn edges.
+	fill := degrees
+	clear(fill)
+	for u, ru := range rows {
+		for _, v := range slab[ru.start : ru.start+ru.n] {
+			stubs[int(rows[v].start)+fill[v]] = int32(u)
+			fill[v]++
+		}
+	}
+	for v, rv := range rows {
+		end := m
+		if v+1 < n {
+			end = int(rows[v+1].start)
+		}
+		g.nodes[v].nbrs = stubs[rv.start : rv.start+rv.n : end]
 	}
 	if err := EnsureConnected(g, r); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// span locates one node's matched row in the build slab.
+type span struct{ start, n int32 }
+
+// linked reports whether the undirected edge {a, b} is already present,
+// given a's and b's unsorted rows, by scanning the shorter one.
+func linked(slab []int32, ra, rb span, a, b int32) bool {
+	if rb.n < ra.n {
+		ra, b = rb, a
+	}
+	for _, v := range slab[ra.start : ra.start+ra.n] {
+		if v == b {
+			return true
+		}
+	}
+	return false
 }
 
 // ErdosRenyi generates a connected G(n, p) random graph with

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -339,11 +341,26 @@ func TestScaleFreeLarge(t *testing.T) {
 	}
 }
 
+// BenchmarkScaleFree100k builds the adaptive-tax scenario's 100k overlay.
+// The seed is pinned: build time is heavy-tailed in the overlay seed, so a
+// per-iteration seed would make ns/op depend on b.N.
 func BenchmarkScaleFree100k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := xrand.New(int64(i))
+		r := xrand.New(7005)
 		if _, err := ScaleFree(ScaleFreeConfig{N: 100_000, Alpha: 2.5, MeanDegree: 20}, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScaleFree1M builds the free-rider-mix scenario's 1M-peer
+// overlay (seed 7002) — the graph-build layer of the paper-scale runs.
+func BenchmarkScaleFree1M(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := xrand.New(7002)
+		if _, err := ScaleFree(ScaleFreeConfig{N: 1_000_000, Alpha: 2.5, MeanDegree: 20}, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,5 +372,150 @@ func BenchmarkScaleFree1000(b *testing.B) {
 		if _, err := ScaleFree(ScaleFreeConfig{N: 1000, Alpha: 2.5, MeanDegree: 20}, r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// refConfigurationModel is the reference stub matcher the generators used
+// before the append-then-transpose build: the same stub list, shuffle and
+// retry draws, with every accepted edge sorted into place by AddEdge and
+// every duplicate test a binary search through HasEdge. It reports whether
+// the stub count was odd.
+func refConfigurationModel(degrees []int, retries int, r *xrand.RNG) (*Graph, bool, error) {
+	n := len(degrees)
+	g := NewGraph()
+	for i := 0; i < n; i++ {
+		if err := g.AddNode(i); err != nil {
+			return nil, false, err
+		}
+	}
+	var stubs []int
+	for i, d := range degrees {
+		for k := 0; k < d; k++ {
+			stubs = append(stubs, i)
+		}
+	}
+	odd := len(stubs)%2 == 1
+	if odd {
+		stubs = append(stubs, r.Intn(n))
+	}
+	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	for i := 0; i+1 < len(stubs); i += 2 {
+		a, b := stubs[i], stubs[i+1]
+		ok := a != b && !g.HasEdge(a, b)
+		for attempt := 0; !ok && attempt < retries && i+2 < len(stubs); attempt++ {
+			k := i + 2 + r.Intn(len(stubs)-i-2)
+			stubs[i+1], stubs[k] = stubs[k], stubs[i+1]
+			b = stubs[i+1]
+			ok = a != b && !g.HasEdge(a, b)
+		}
+		if ok {
+			if err := g.AddEdge(a, b); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	if err := EnsureConnected(g, r); err != nil {
+		return nil, false, err
+	}
+	return g, odd, nil
+}
+
+// refScaleFree is ScaleFree over the reference matcher.
+func refScaleFree(cfg ScaleFreeConfig, r *xrand.RNG) (*Graph, bool, error) {
+	maxDeg := cfg.MaxDegree
+	if maxDeg <= 0 || maxDeg > cfg.N-1 {
+		maxDeg = cfg.N - 1
+	}
+	pl, err := xrand.PowerLawForMean(maxDeg, cfg.Alpha, cfg.MeanDegree)
+	if err != nil {
+		return nil, false, err
+	}
+	degrees := make([]int, cfg.N)
+	for i := range degrees {
+		degrees[i] = pl.Sample(r)
+	}
+	return refConfigurationModel(degrees, 20, r)
+}
+
+// TestGeneratorsMatchReference pins the stub matcher to the reference:
+// across seeds and sizes, ScaleFree and RandomRegular must build the same
+// ascending rows as the sorted-insert matcher and leave the RNG at the same
+// position (the next draw agrees), so every downstream draw and golden is
+// unchanged.
+func TestGeneratorsMatchReference(t *testing.T) {
+	type gen func(r *xrand.RNG) (*Graph, error)
+	type ref func(r *xrand.RNG) (*Graph, bool, error)
+	sf := func(cfg ScaleFreeConfig) (gen, ref) {
+		return func(r *xrand.RNG) (*Graph, error) { return ScaleFree(cfg, r) },
+			func(r *xrand.RNG) (*Graph, bool, error) { return refScaleFree(cfg, r) }
+	}
+	regular := func(n, d int) (gen, ref) {
+		return func(r *xrand.RNG) (*Graph, error) { return RandomRegular(n, d, r) },
+			func(r *xrand.RNG) (*Graph, bool, error) {
+				degrees := make([]int, n)
+				for i := range degrees {
+					degrees[i] = d
+				}
+				return refConfigurationModel(degrees, 50, r)
+			}
+	}
+	type tcase struct {
+		name  string
+		gen   gen
+		ref   ref
+		seeds int64
+	}
+	var cases []tcase
+	add := func(name string, g gen, r ref) { cases = append(cases, tcase{name, g, r, 200}) }
+	for _, n := range []int{2, 3, 50, 1000} {
+		mean := math.Min(6, float64(n-1))
+		g, r := sf(ScaleFreeConfig{N: n, Alpha: 2.5, MeanDegree: mean})
+		add(fmt.Sprintf("scale-free/n=%d", n), g, r)
+		g, r = sf(ScaleFreeConfig{N: n, Alpha: 2.5, MeanDegree: math.Min(2, mean), MaxDegree: 3})
+		add(fmt.Sprintf("scale-free-cap3/n=%d", n), g, r)
+		d := map[int]int{2: 1, 3: 2, 50: 4, 1000: 10}[n]
+		g, r = regular(n, d)
+		add(fmt.Sprintf("regular/n=%d", n), g, r)
+	}
+	// Hub-dominated: a shallow tail with the cap at N-1 puts most stubs on
+	// a few hubs, so hub-hub conflicts and retries dominate the matching
+	// (and each build costs ~40x a mean-degree one, hence fewer seeds).
+	g, r := sf(ScaleFreeConfig{N: 1000, Alpha: 1.5, MeanDegree: 20, MaxDegree: 999})
+	cases = append(cases, tcase{"hubs/n=1000", g, r, 50})
+
+	odd := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				rg, rr := xrand.New(seed), xrand.New(seed)
+				got, err := tc.gen(rg)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				want, wasOdd, err := tc.ref(rr)
+				if err != nil {
+					t.Fatalf("seed %d: reference: %v", seed, err)
+				}
+				if wasOdd {
+					odd++
+				}
+				if got.NumEdges() != want.NumEdges() || got.NumNodes() != want.NumNodes() {
+					t.Fatalf("seed %d: %d nodes/%d edges, reference %d/%d", seed,
+						got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+				}
+				for _, id := range want.Nodes() {
+					if !slices.Equal(got.NeighborsView(id), want.NeighborsView(id)) {
+						t.Fatalf("seed %d: row %d = %v, reference %v", seed, id,
+							got.NeighborsView(id), want.NeighborsView(id))
+					}
+				}
+				if a, b := rg.Int63(), rr.Int63(); a != b {
+					t.Fatalf("seed %d: next draw %d, reference %d", seed, a, b)
+				}
+			}
+		})
+	}
+	if odd == 0 {
+		t.Error("no case produced an odd stub count")
 	}
 }

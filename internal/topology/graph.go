@@ -112,25 +112,6 @@ func (g *Graph) grow(n int) {
 	}
 }
 
-// reserveAdjacency carves each node i's neighbor slice (capacity degrees[i])
-// out of one shared slab. Generators call it right after adding nodes
-// 0..len(degrees)-1 with no edges yet; a node that later outgrows its
-// reservation regrows individually.
-func (g *Graph) reserveAdjacency(degrees []int) {
-	total := 0
-	for _, d := range degrees {
-		total += d
-	}
-	slab := make([]int32, total)
-	off := 0
-	for i, d := range degrees {
-		if s := g.slotOf(i); s >= 0 && len(g.nodes[s].nbrs) == 0 {
-			g.nodes[s].nbrs = slab[off : off : off+d]
-		}
-		off += d
-	}
-}
-
 // AddNode inserts an isolated node.
 func (g *Graph) AddNode(id int) error {
 	if id < 0 || id > maxID {

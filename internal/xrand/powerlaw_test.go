@@ -145,3 +145,106 @@ func TestPowerLawCDFProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refPowerLaw is the sampler table as NewPowerLaw computed it before the
+// shared weight table: one pass of d^-alpha, running totals and the mean,
+// then normalization. It pins the floating-point order.
+func refPowerLaw(min, max int, alpha float64) (cdf []float64, mean float64) {
+	cdf = make([]float64, max-min+1)
+	var total, weightedTotal float64
+	for i := range cdf {
+		d := float64(min + i)
+		w := math.Pow(d, -alpha)
+		total += w
+		weightedTotal += d * w
+		cdf[i] = total
+	}
+	for i := range cdf {
+		cdf[i] /= total
+	}
+	cdf[len(cdf)-1] = 1
+	return cdf, weightedTotal / total
+}
+
+// refPowerLawForMean is the cutoff search before the shared weight table:
+// one full table per candidate cutoff. It returns the chosen cutoff.
+func refPowerLawForMean(max int, alpha, targetMean float64) int {
+	best, bestGap := 0, math.Inf(1)
+	for min := 1; min <= max; min++ {
+		_, mean := refPowerLaw(min, max, alpha)
+		if gap := math.Abs(mean - targetMean); gap < bestGap {
+			best, bestGap = min, gap
+		}
+		if mean > targetMean {
+			break
+		}
+	}
+	return best
+}
+
+// TestPowerLawForMeanBitIdentical sweeps (max, alpha, targetMean): the
+// shared-table search must pick the per-candidate search's cutoff, and
+// both it and NewPowerLaw on that support must return the reference CDF
+// and mean bit for bit.
+func TestPowerLawForMeanBitIdentical(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, max := range []int{1, 2, 3, 10, 99, 999, 9999} {
+		for _, alpha := range []float64{0.5, 1, 1.5, 2, 2.5, 3, 4.5} {
+			for _, mean := range []float64{1, 1.5, 2, 3.7, 8, 20, 50, 400} {
+				if mean > float64(max) {
+					continue
+				}
+				got, err := PowerLawForMean(max, alpha, mean)
+				if err != nil {
+					t.Fatalf("PowerLawForMean(%d, %v, %v): %v", max, alpha, mean, err)
+				}
+				if min := refPowerLawForMean(max, alpha, mean); got.Min() != min {
+					t.Fatalf("PowerLawForMean(%d, %v, %v) chose min %d, reference %d", max, alpha, mean, got.Min(), min)
+				}
+				want, err := NewPowerLaw(got.Min(), max, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refCDF, refMean := refPowerLaw(got.Min(), max, alpha)
+				for _, pl := range []*PowerLaw{got, want} {
+					if math.Float64bits(pl.Mean()) != math.Float64bits(refMean) || !same(pl.cdf, refCDF) {
+						t.Fatalf("(%d, %v, %v) min %d: mean %v or CDF differs from the reference (mean %v)",
+							max, alpha, mean, got.Min(), pl.Mean(), refMean)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPowerLawForMeanAllocs bounds the cutoff search's allocations: the
+// weight table (which becomes the CDF) and the sampler, however many
+// candidate cutoffs lose. A per-candidate table would allocate per
+// candidate.
+func TestPowerLawForMeanAllocs(t *testing.T) {
+	pl, err := PowerLawForMean(100_000, 2.5, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Min() < 5 {
+		t.Fatalf("chosen min %d: want several losing candidates", pl.Min())
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := PowerLawForMean(100_000, 2.5, 20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("PowerLawForMean allocates %v times with %d losing cutoffs, want <= 2", allocs, pl.Min()-1)
+	}
+}
