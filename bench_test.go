@@ -757,13 +757,18 @@ func BenchmarkShardMarketXLargeNaive(b *testing.B) {
 	benchShardMarketRouted(b, shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: true})
 }
 
-// The pick micro-pair isolates the sampler itself — Fenwick descent vs the
-// per-spend O(degree) rescan — over one warm availability-routed engine, so
-// the ≥5x sampler gate is measured without the kernel's fixed per-event
-// overhead diluting the ratio. Picks cycle through every peer, weighting
-// hubs exactly as often as leaves.
+// The pick micro-benchmarks isolate the sampler itself — Fenwick descent
+// vs the per-spend O(degree) rescan — over one warm availability-routed
+// engine, so sampler cost is measured without the kernel's fixed
+// per-event overhead diluting it. HeavyDegree 64 gives the 20k-peer
+// overlay a hub population: FenwickLight cycles the peers at or below it,
+// whose trees build from the mirror at pick time; FenwickHeavy cycles the
+// hubs, whose stored trees are descended directly; Naive rescans every
+// peer in turn, weighting hubs exactly as often as leaves.
 
-func benchRoutingPick(b *testing.B, naive bool) {
+const pickBenchHeavy = 64
+
+func benchRoutingPick(b *testing.B, naive bool, pick func(degree int) bool) {
 	b.Helper()
 	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 20_000, Alpha: 2.5, MeanDegree: 20}, xrand.New(7))
 	if err != nil {
@@ -781,7 +786,7 @@ func benchRoutingPick(b *testing.B, naive bool) {
 		InitialWealth: 20,
 		Queue:         des.Calendar,
 		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
-		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability, NaiveRescan: naive},
+		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability, HeavyDegree: pickBenchHeavy, NaiveRescan: naive},
 		Workload:      w,
 	})
 	if err != nil {
@@ -795,6 +800,15 @@ func benchRoutingPick(b *testing.B, naive bool) {
 			b.Fatal("horizon exhausted during warmup")
 		}
 	}
+	var peers []int32
+	for v := int32(0); v < int32(e.N()); v++ {
+		if d := len(e.Neighbors(v)); d > 0 && pick(d) {
+			peers = append(peers, v)
+		}
+	}
+	if len(peers) == 0 {
+		b.Fatal("no peers in the benchmarked class")
+	}
 	ln := e.Lanes()[0]
 	r := xrand.NewSplitMix64(11, 3)
 	t := e.Horizon()
@@ -802,20 +816,25 @@ func benchRoutingPick(b *testing.B, naive bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := int32(i % e.N())
-		nbrs := e.Neighbors(g)
-		if len(nbrs) == 0 {
-			continue
-		}
-		sink += ln.PickNeighbor(t, g, nbrs, &r)
+		v := peers[i%len(peers)]
+		sink += ln.PickNeighbor(t, v, e.Neighbors(v), &r)
 	}
 	if sink == 0 && b.N > 100 {
 		b.Fatal("sampler returned only peer 0; measurement is broken")
 	}
 }
 
-func BenchmarkRoutingPickFenwick(b *testing.B) { benchRoutingPick(b, false) }
-func BenchmarkRoutingPickNaive(b *testing.B)   { benchRoutingPick(b, true) }
+func BenchmarkRoutingPickFenwickLight(b *testing.B) {
+	benchRoutingPick(b, false, func(d int) bool { return d <= pickBenchHeavy })
+}
+
+func BenchmarkRoutingPickFenwickHeavy(b *testing.B) {
+	benchRoutingPick(b, false, func(d int) bool { return d > pickBenchHeavy })
+}
+
+func BenchmarkRoutingPickNaive(b *testing.B) {
+	benchRoutingPick(b, true, func(int) bool { return true })
+}
 
 // The Checkpoint trio measures the barrier-visible checkpoint stall on
 // the 1M-peer sharded market at eight lanes — the BENCH_9 acceptance

@@ -3,6 +3,8 @@ package des
 import (
 	"math"
 	"math/bits"
+
+	"creditp2p/internal/cacheline"
 )
 
 // calendarQueue is a bucketed timing wheel (a calendar queue in the sense
@@ -35,6 +37,10 @@ import (
 // future) falls back to a direct scan for the earliest day and jumps the
 // calendar to it.
 type calendarQueue struct {
+	// The pads keep the cursors every push and pop writes off any line
+	// another lane's queue writes (see cacheline).
+	_ cacheline.Pad
+
 	// Per-slot entry storage, parallel to the scheduler slab (index is
 	// slot-1). One struct per slot rather than parallel arrays: a push or
 	// drain touches a single cache line per entry instead of four, which
@@ -76,6 +82,7 @@ type calendarQueue struct {
 	// warms a harmless line.
 	nwSlot int32
 	warm   uint32
+	_      cacheline.Pad
 }
 
 // calEntry is one drained pending event.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/cacheline"
 	"creditp2p/internal/snapshot"
 )
 
@@ -121,6 +122,9 @@ const (
 // Scheduler owns virtual time and the pending event set. It is not safe for
 // concurrent use; a simulation is a single-goroutine loop.
 type Scheduler struct {
+	// The pads keep the cursors and counters every event writes off any
+	// line another lane's scheduler writes (see cacheline).
+	_       cacheline.Pad
 	now     float64
 	seq     uint64
 	slab    []node
@@ -141,6 +145,7 @@ type Scheduler struct {
 	// the drain-batch index slab warming has reached.
 	warm    uint32
 	warmPos int
+	_       cacheline.Pad
 }
 
 // NewScheduler returns a heap-ordered scheduler at time 0 with no pending

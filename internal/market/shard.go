@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/cacheline"
 	"creditp2p/internal/des"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
@@ -50,13 +51,18 @@ type ShardMarket struct {
 	lanes []shardMarketCounters
 }
 
+// shardMarketCounters is one lane's counter record. Every event
+// increments it, so the pads keep it off any line another lane's record
+// (or anything else) occupies.
 type shardMarketCounters struct {
+	_             cacheline.Pad
 	attempts      uint64
 	purchases     uint64
 	failInsolvent uint64
 	failOffline   uint64
 	failFreeRider uint64
 	failIsolated  uint64
+	_             cacheline.Pad
 }
 
 // NewShard builds the sharded market workload.
@@ -133,9 +139,7 @@ func (m *ShardMarket) OnEvent(ln *shard.Lane, ev des.Event) {
 
 // WarmActor implements shard.ActorWarmer: it touches the peer's pending
 // handle (the one workload array OnEvent hits that the kernel cannot see)
-// and warms the routing sampler — rebuilding the peer's Fenwick tree if a
-// barrier left it stale, so the rebuild cost overlaps with earlier events
-// instead of landing on the pick itself.
+// and warms the routing sampler.
 func (m *ShardMarket) WarmActor(g int32) uint32 {
 	return uint32(m.pend[g].Pack()) + m.e.WarmSampler(g)
 }

@@ -45,7 +45,9 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 
 // TestTimingsBreakdown smoke-tests the phase accounting on both barrier
 // paths: windows are counted, dispatch time accumulates, the merge phase
-// engages exactly when policies do, and the phase sum equals Total.
+// engages exactly when policies do, the phase sum equals Total, and the
+// lanes' busy times nest inside the dispatch phase (each window's slowest
+// lane within the phase's wall time, every lane within the slowest).
 func TestTimingsBreakdown(t *testing.T) {
 	run := func(pols bool) shard.Timings {
 		var cfg shard.Config
@@ -86,5 +88,12 @@ func TestTimingsBreakdown(t *testing.T) {
 	}
 	if noPol.Windows == 0 || noPol.Dispatch == 0 {
 		t.Fatalf("no-policy run recorded no work: %+v", noPol)
+	}
+	for _, ti := range []shard.Timings{withPol, noPol} {
+		if ti.LaneBusyMax == 0 || ti.LaneBusyMax > ti.Dispatch ||
+			ti.LaneBusy < ti.LaneBusyMax || ti.LaneBusy > 2*ti.LaneBusyMax {
+			t.Errorf("two-lane busy times out of bounds: sum %v, per-window max %v, dispatch %v",
+				ti.LaneBusy, ti.LaneBusyMax, ti.Dispatch)
+		}
 	}
 }

@@ -87,8 +87,10 @@ func (e *Engine) saveDeltaShared(w *snapshot.Writer) {
 // saveDelta emits one lane's delta section: the scheduler's slab delta,
 // the (small) accumulators, the full trimmed balance histogram — indexed
 // by balance value, not peer, so it has no per-peer dirty structure — and
-// the dirty peer segments of bal/rng/flags. Clears the lane's dirty map.
-// Safe to run concurrently across lanes.
+// the dirty peer segments of bal/rng/flags and routing state (every
+// routing mutation — mirror write, EWMA update, hub-tree patch — marks its
+// peer's segment, so segment-wise capture is exact). Clears the lane's
+// dirty map. Safe to run concurrently across lanes.
 func (ln *Lane) saveDelta(w *snapshot.Writer) {
 	e := ln.e
 	w.Section("dlane")
@@ -113,31 +115,9 @@ func (ln *Lane) saveDelta(w *snapshot.Writer) {
 		w.I64s(e.bal[glo:ghi])
 		w.U64s(rngWords(e.rng[glo:ghi]))
 		w.U8s(e.flags[glo:ghi])
-		ln.saveRoutingSeg(w, glo, ghi)
+		e.saveRouting(w, glo, ghi)
 	})
 	ln.dirty.Clear()
-}
-
-// saveRoutingSeg emits the routing slices of one dirty peer segment,
-// mirroring saveRouting's per-lane layout at segment grain. Every routing
-// mutation (mirror write, EWMA update, tree patch or rebuild, stale-bit
-// flip) marks its peer's segment, so segment-wise capture is exact.
-func (ln *Lane) saveRoutingSeg(w *snapshot.Writer, glo, ghi int32) {
-	rt := &ln.e.rt
-	if rt.mode == RouteUniform {
-		return
-	}
-	w.F32s(rt.weight[glo:ghi])
-	if rt.mode == RouteAvailability {
-		w.F64s(rt.score[glo:ghi])
-		w.F64s(rt.scoreT[glo:ghi])
-	}
-	if rt.fenSlab != nil {
-		pt := ln.e.part
-		s0 := pt.RowStart(glo) + int64(glo)
-		s1 := pt.RowStart(ghi) + int64(ghi)
-		w.F32s(rt.fenSlab[s0:s1])
-	}
 }
 
 // saveDeltaWorkload emits the workload delta section: the dirty spans in
@@ -286,40 +266,11 @@ func (ln *Lane) applyDelta(r *snapshot.Reader) error {
 			e.rng[glo+int32(i)] = xrand.SplitMix64(v)
 		}
 		copy(e.flags[glo:ghi], flags)
-		if err := ln.applyRoutingSeg(r, glo, ghi); err != nil {
+		if err := e.loadRouting(r, glo, ghi); err != nil {
 			return err
 		}
 	}
 	ln.dirty.Clear()
-	return nil
-}
-
-// applyRoutingSeg patches one segment's routing slices, mirroring
-// saveRoutingSeg.
-func (ln *Lane) applyRoutingSeg(r *snapshot.Reader, glo, ghi int32) error {
-	rt := &ln.e.rt
-	if rt.mode == RouteUniform {
-		return nil
-	}
-	if err := loadF32Into(r, rt.weight[glo:ghi], "delta routing weights"); err != nil {
-		return err
-	}
-	if rt.mode == RouteAvailability {
-		if err := loadF64Into(r, rt.score[glo:ghi], "delta availability scores"); err != nil {
-			return err
-		}
-		if err := loadF64Into(r, rt.scoreT[glo:ghi], "delta availability score times"); err != nil {
-			return err
-		}
-	}
-	if rt.fenSlab != nil {
-		pt := ln.e.part
-		s0 := pt.RowStart(glo) + int64(glo)
-		s1 := pt.RowStart(ghi) + int64(ghi)
-		if err := loadF32Into(r, rt.fenSlab[s0:s1], "delta sampler slab"); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -1,7 +1,7 @@
 package shard
 
-// Weighted routing on the sharded kernel: per-peer Fenwick samplers over
-// neighbor weights, fed by barrier-frozen weight mirrors.
+// Weighted routing on the sharded kernel: Fenwick samplers over neighbor
+// weights, fed by barrier-frozen weight mirrors.
 //
 // The single-threaded market engine routes spends by degree or
 // availability with an O(log degree) Fenwick sampler per spender. The
@@ -18,29 +18,31 @@ package shard
 //     the window start) is the exact analog of the liveness staleness the
 //     engine already defines.
 //
-//   - Each peer owns a Fenwick tree over its neighbors' mirror weights,
-//     packed back to back in one slab ([RowStart(g)+g : ... degree+1]
-//     floats per peer) so a million trees carry no per-tree headers. The
-//     tree is a pure function of the mirror, which makes rebuild timing
-//     unobservable: lanes rebuild their own peers' stale trees lazily at
-//     first use (pick or warm prefetch) and results cannot depend on
-//     when — or whether — a rebuild happened early.
+//   - Under availability routing, a light peer (degree <= HeavyDegree)
+//     stores no tree: PickNeighbor builds one from the mirror into the
+//     lane's grow-once scratch and descends it. A light tree is a pure
+//     function of the mirror, so building it at pick time draws exactly
+//     what any stored copy would, and there is no staleness to track.
 //
-//   - Heavy hitters (degree > HeavyDegree) skip the lazy-stale discipline:
-//     an O(degree) rebuild per barrier touch would make hub peers
-//     quadratic under churn waves, so their trees are patched incrementally
-//     at the barrier (one O(log degree) FenAdd per changed neighbor,
-//     applied in the same canonical delta order on the coordinator).
-//     Incremental float accumulation is order-sensitive, so the canonical
-//     order is what keeps heavy trees — and with them every sampled
-//     destination — bit-identical across shard counts.
+//   - Hubs (degree > HeavyDegree) keep stored trees, packed back to back
+//     in a slab sized to the hub rows alone (degree+1 floats per hub, slot
+//     0 caching the total). An O(degree) build per pick would make hub
+//     picks linear, so hub trees are patched incrementally at the barrier
+//     instead: one O(log degree) FenAdd per changed neighbor, applied in
+//     the canonical delta order on the coordinator. Incremental float
+//     accumulation is order-sensitive, so the canonical order is what
+//     keeps hub trees — and with them every sampled destination —
+//     bit-identical across shard counts, and it is why HeavyDegree is
+//     results-affecting.
 //
-// All trees are built eagerly during New in ascending peer order; after
-// that, heavy trees are only ever patched and light trees only ever
-// rebuilt from the mirror, so both populations have shard-count-invariant
-// float state. The slab, mirror, and EWMA state serialize with the lane
+//   - Degree routing stores every peer's tree (at RowStart(g)+g): degree
+//     weights never change, so each tree is built once during New and
+//     only ever read.
+//
+// Hub trees, the mirror and the EWMA state serialize with the lane
 // partitions (full and delta checkpoints alike), so restores resume the
-// exact byte stream without a rebuild train.
+// exact byte stream. Degree-routing state is a pure function of the
+// graph, rebuilt by New, and never serialized.
 
 import (
 	"fmt"
@@ -87,9 +89,9 @@ type RoutingConfig struct {
 	// Floor is the availability weight floor, keeping every neighbor
 	// reachable (and every tree total positive); 0 selects 0.05.
 	Floor float64
-	// HeavyDegree is the heavy-hitter threshold: peers with more
-	// neighbors than this get barrier-patched trees instead of
-	// lazy-stale rebuilds; 0 selects 64.
+	// HeavyDegree is the availability hub threshold: peers with more
+	// neighbors than this keep barrier-patched stored trees, the rest
+	// build theirs at pick time; 0 selects 1024.
 	HeavyDegree int
 	// NaiveRescan replaces the Fenwick samplers with a per-spend
 	// O(degree) weight rescan — the reference baseline the perf gates
@@ -103,19 +105,18 @@ const (
 	defaultRoutingTau   = 100.0
 	defaultRoutingFloor = 0.05
 	// defaultHeavyDegree trades barrier patch bandwidth against the
-	// worst-case lazy rebuild: every directed edge into a hub above the
-	// threshold costs one O(log degree) patch per neighbor lifecycle
-	// transition, while every peer below it pays at most an O(threshold)
-	// rebuild at its first pick after a neighborhood change. Scale-free
-	// overlays put a large fraction of edges on hubs, so a low threshold
-	// drowns the barrier in patch traffic for trees that are rarely
-	// sampled before they are patched again; 1024 keeps hub picks
+	// pick-time build: every directed edge into a hub above the threshold
+	// costs one O(log degree) patch per neighbor lifecycle transition,
+	// while every peer below it pays an O(degree) build per pick.
+	// Scale-free overlays put a large fraction of edges on hubs, so a low
+	// threshold drowns the barrier in patch traffic for trees that are
+	// rarely sampled before they are patched again; 1024 keeps hub picks
 	// O(log degree) while cutting patch bandwidth to the few true hubs.
 	defaultHeavyDegree = 1024
 )
 
 // routingState is the engine's resident routing data. For RouteUniform
-// every slice is nil; for NaiveRescan the slab and totals are nil (the
+// every slice is nil; for NaiveRescan the slab and hub tables are nil (the
 // rescan reads the EWMA state directly).
 type routingState struct {
 	mode     Routing
@@ -125,32 +126,37 @@ type routingState struct {
 	heavyDeg int
 
 	// weight is the barrier-frozen per-peer routing weight mirror, in
-	// the slab's float32 domain: the mirror is what trees rebuild from,
-	// so keeping both in one precision makes a rebuilt tree and a
-	// patched tree agree to the last bit of the stored weights.
+	// the trees' float32 domain: pick-time trees build from the mirror
+	// and hub trees patch by mirror deltas, so keeping both in one
+	// precision makes them agree to the last bit of the stored weights.
 	weight []float32
 	// score/scoreT carry the availability EWMA: score is the EWMA of the
 	// online indicator as of the peer's last lifecycle transition at
 	// scoreT. Both change only in publishWeights (canonical order).
 	score  []float64
 	scoreT []float64
-	// fenSlab packs every peer's Fenwick tree over its neighbor weights:
-	// peer g's tree is fenSlab[RowStart(g)+g : +Degree(g)+1], leaves at
-	// 1..degree. Slot 0 — unused by the Fenwick layout — caches the
-	// tree's weight total, so a pick reads the total and the descent
-	// nodes from the same cache lines instead of missing on a separate
-	// totals array.
+	// fenSlab packs the stored Fenwick trees over neighbor weights: every
+	// peer's under degree routing (peer g's at RowStart(g)+g), only the
+	// hubs' under availability routing (hub h's at hubOff[h]). A tree of
+	// degree d spans d+1 floats with leaves at 1..d; slot 0 — unused by
+	// the Fenwick layout — caches the tree's weight total, so a pick reads
+	// the total and the descent nodes from the same cache lines.
 	fenSlab []float32
-	// heavyRow/heavyNb/heavyLeaf form the heavy-edge CSR for availability
-	// runs: for each peer g, heavyNb[heavyRow[g]:heavyRow[g+1]] lists g's
-	// heavy-hitter neighbors and heavyLeaf the matching Fenwick leaf (g's
-	// position in that hub's row, precomputed so a barrier patch lands on
-	// the right leaf without binary-searching the hub's neighbor row).
-	// Scale-free graphs keep this sparse — only a minority of directed
-	// edges point at hubs — so the patch pass walks a few entries per
-	// lifecycle delta instead of rescanning whole adjacency rows.
+	// hubs lists the availability run's peers above HeavyDegree in
+	// ascending order; hubOff[h] is hub h's slab offset, and
+	// hubOff[len(hubs)] the slab length.
+	hubs   []int32
+	hubOff []int64
+	// heavyRow/heavyHub/heavyLeaf form the heavy-edge CSR for availability
+	// runs: for each peer g, heavyHub[heavyRow[g]:heavyRow[g+1]] lists the
+	// hub index (into hubs) of each of g's hub neighbors and heavyLeaf the
+	// matching Fenwick leaf (g's position in that hub's row, precomputed so
+	// a barrier patch lands on the right leaf without binary-searching the
+	// hub's neighbor row). Scale-free graphs keep this sparse — only a
+	// minority of directed edges point at hubs — so the patch pass walks a
+	// few entries per lifecycle delta instead of whole adjacency rows.
 	heavyRow  []int64
-	heavyNb   []int32
+	heavyHub  []int32
 	heavyLeaf []int32
 	// wdelta is publishWeights' grow-once scratch: the mirror-weight
 	// change of each lifecycle delta, aligned with lifeScratch, computed
@@ -183,10 +189,10 @@ func validateRouting(cfg *Config) error {
 	return nil
 }
 
-// initRouting allocates and builds the routing state. Runs during New,
-// after the lanes exist: the weight mirror fills sequentially, then each
-// lane builds its own peers' trees in parallel (disjoint slab regions,
-// each tree a pure function of the mirror, so the build is deterministic).
+// initRouting allocates the routing state and builds the stored trees.
+// Runs during New, after the lanes exist. Each tree is a pure function of
+// the initial mirror, so the lanes' parallel build of the degree slab is
+// deterministic.
 func (e *Engine) initRouting() {
 	rt := &e.rt
 	rt.mode = e.cfg.Routing.Mode
@@ -198,106 +204,106 @@ func (e *Engine) initRouting() {
 	rt.floor = e.cfg.Routing.Floor
 	rt.heavyDeg = e.cfg.Routing.HeavyDegree
 	rt.weight = make([]float32, e.n)
-	if rt.mode == RouteAvailability {
-		rt.score = make([]float64, e.n)
-		rt.scoreT = make([]float64, e.n)
-		for g := 0; g < e.n; g++ {
-			// Every peer starts online with a saturated EWMA.
-			rt.score[g] = 1
-			rt.weight[g] = float32(rt.floor + 1)
-		}
-	} else {
+	if rt.mode == RouteDegree {
 		for g := int32(0); g < int32(e.n); g++ {
 			rt.weight[g] = float32(e.part.Degree(g))
 		}
-	}
-	for g := int32(0); g < int32(e.n); g++ {
-		if e.part.Degree(g) > rt.heavyDeg {
-			e.flags[g] |= heavyBit
+		if rt.naive {
+			return
 		}
+		rt.fenSlab = make([]float32, e.part.Edges()+int64(e.n))
+		e.parallel(func(ln *Lane) {
+			for g := ln.lo; g < ln.hi; g++ {
+				fenFill(e.tree(g), e.part.Neighbors(g), rt.weight)
+			}
+		})
+		return
+	}
+	rt.score = make([]float64, e.n)
+	rt.scoreT = make([]float64, e.n)
+	for g := 0; g < e.n; g++ {
+		// Every peer starts online with a saturated EWMA.
+		rt.score[g] = 1
+		rt.weight[g] = float32(rt.floor + 1)
 	}
 	if rt.naive {
 		return
 	}
-	rt.fenSlab = make([]float32, e.part.Edges()+int64(e.n))
-	e.parallel(func(ln *Lane) {
-		for g := ln.lo; g < ln.hi; g++ {
-			e.rebuildTree(g)
+	rt.hubOff = []int64{0}
+	for g := int32(0); g < int32(e.n); g++ {
+		if d := e.part.Degree(g); d > rt.heavyDeg {
+			rt.hubs = append(rt.hubs, g)
+			rt.hubOff = append(rt.hubOff, rt.hubOff[len(rt.hubs)-1]+int64(d)+1)
 		}
-	})
-	if rt.mode == RouteAvailability {
-		// Degree weights never change, so only availability runs patch
-		// trees at barriers and need the heavy-edge CSR.
-		rt.heavyRow = make([]int64, e.n+1)
-		e.parallel(func(ln *Lane) {
-			for g := ln.lo; g < ln.hi; g++ {
-				c := int64(0)
-				for _, nb := range e.part.Neighbors(g) {
-					if e.flags[nb]&heavyBit != 0 {
-						c++
-					}
-				}
-				rt.heavyRow[g+1] = c
-			}
-		})
-		for g := 0; g < e.n; g++ {
-			rt.heavyRow[g+1] += rt.heavyRow[g]
-		}
-		rt.heavyNb = make([]int32, rt.heavyRow[e.n])
-		rt.heavyLeaf = make([]int32, rt.heavyRow[e.n])
-		e.parallel(func(ln *Lane) {
-			for g := ln.lo; g < ln.hi; g++ {
-				k := rt.heavyRow[g]
-				for _, nb := range e.part.Neighbors(g) {
-					if e.flags[nb]&heavyBit != 0 {
-						rt.heavyNb[k] = nb
-						rt.heavyLeaf[k] = int32(searchI32(e.part.Neighbors(nb), g))
-						k++
-					}
-				}
-			}
-		})
 	}
+	rt.fenSlab = make([]float32, rt.hubOff[len(rt.hubs)])
+	for _, g := range rt.hubs {
+		fenFill(e.tree(g), e.part.Neighbors(g), rt.weight)
+	}
+	// The heavy-edge CSR is the transpose of the hubs' rows: count each
+	// peer's hub neighbors, prefix-sum, then scatter (hub, leaf) pairs
+	// with heavyRow[v] as v's fill cursor. Hubs scatter in ascending
+	// order, so each row lists its hubs ascending.
+	rt.heavyRow = make([]int64, e.n+1)
+	for _, g := range rt.hubs {
+		for _, v := range e.part.Neighbors(g) {
+			rt.heavyRow[v+1]++
+		}
+	}
+	for g := 0; g < e.n; g++ {
+		rt.heavyRow[g+1] += rt.heavyRow[g]
+	}
+	rt.heavyHub = make([]int32, rt.heavyRow[e.n])
+	rt.heavyLeaf = make([]int32, rt.heavyRow[e.n])
+	for h, g := range rt.hubs {
+		for leaf, v := range e.part.Neighbors(g) {
+			k := rt.heavyRow[v]
+			rt.heavyHub[k] = int32(h)
+			rt.heavyLeaf[k] = int32(leaf)
+			rt.heavyRow[v]++
+		}
+	}
+	// Each cursor now sits at the next row's start; shift them back.
+	copy(rt.heavyRow[1:], rt.heavyRow[:e.n])
+	rt.heavyRow[0] = 0
 }
 
-// tree returns peer g's slab tree (valid only when fenSlab is non-nil).
+// treeStart returns the slab offset of the first stored tree of a peer at
+// or after g (g may be N). A span of peers' stored trees is therefore
+// fenSlab[treeStart(lo):treeStart(hi)].
+func (e *Engine) treeStart(g int32) int64 {
+	rt := &e.rt
+	if rt.mode == RouteDegree {
+		return e.part.RowStart(g) + int64(g)
+	}
+	return rt.hubOff[searchI32(rt.hubs, g)]
+}
+
+// tree returns stored peer g's slab tree.
 func (e *Engine) tree(g int32) []float32 {
-	off := e.part.RowStart(g) + int64(g)
+	off := e.treeStart(g)
 	return e.rt.fenSlab[off : off+int64(e.part.Degree(g))+1]
 }
 
-// rebuildTree refreshes peer g's tree from the frozen weight mirror and
-// sets its built bit. Callable from g's owner lane mid-window (the slab
-// region and flag byte are lane-owned) and from the coordinator at
-// barriers; it marks g's segment dirty itself.
-func (e *Engine) rebuildTree(g int32) {
-	rt := &e.rt
-	nbrs := e.part.Neighbors(g)
-	tree := e.tree(g)
+// fenFill builds the Fenwick tree over nbrs' mirror weights into tr
+// (len(nbrs)+1 floats), caching the total in tr[0], and returns tr.
+func fenFill(tr []float32, nbrs []int32, weight []float32) []float32 {
 	for i, nb := range nbrs {
-		tree[i+1] = rt.weight[nb]
+		tr[i+1] = weight[nb]
 	}
-	tree[0] = xrand.FenBuild(tree)
-	e.flags[g] |= fenBuiltBit
-	e.lanes[e.part.ShardOf(g)].markPeer(g)
+	tr[0] = xrand.FenBuild(tr)
+	return tr
 }
 
 // publishWeights is the barrier's mirror-publish step: fold the window's
 // lifecycle deltas (already in canonical (time, peer) order) through the
-// availability EWMA, updating the weight mirror and the dependent trees.
-// Both passes run serially on the coordinator. The fold is a few
-// thousand cheap float ops per window; the tree-patch pass walks each
-// changed peer's row once, flipping light neighbors stale and patching
-// heavy ones through the CSR. A lane-striped parallel variant was tried
-// and retired: every worker must replay the whole delta list to find its
-// slice of each row, so striping multiplies the row-walk overhead by the
-// worker count and hands most of the win straight back — and the stale
-// flips' dirty marks then need a second, conservative coordinator pass
-// (workers cannot touch other lanes' dirty bitmaps race-free), while the
-// serial pass marks exactly what it changed, inline. Per-peer EWMA folds
-// and per-tree patch sequences are canonical-order subsequences of the
-// delta list either way, so results are bit-identical across shard
-// counts.
+// availability EWMA, updating the weight mirror, then patch the hub trees
+// each changed weight feeds. Both passes run serially on the coordinator:
+// the fold is a few thousand cheap float ops per window, and the patch
+// pass walks only each changed peer's heavy-edge CSR entries. Per-peer
+// EWMA folds and per-tree patch sequences are canonical-order
+// subsequences of the delta list, so results are bit-identical across
+// shard counts.
 func (e *Engine) publishWeights() {
 	rt := &e.rt
 	if cap(rt.wdelta) < len(e.lifeScratch) {
@@ -328,7 +334,7 @@ func (e *Engine) publishWeights() {
 		rt.weight[g] = nw
 		e.lanes[e.part.ShardOf(g)].markPeer(g)
 	}
-	if rt.fenSlab == nil {
+	if rt.naive {
 		return
 	}
 	// Until a first capture exists the dirty maps are dead state — any
@@ -343,25 +349,14 @@ func (e *Engine) publishWeights() {
 		if g < 0 {
 			g = -1 - g
 		}
-		// Light neighbors with a built tree go stale (they rebuild lazily
-		// from the new mirror); heavy neighbors patch below via the CSR.
-		for _, nb := range e.part.Neighbors(g) {
-			fl := e.flags[nb]
-			if fl&(fenBuiltBit|heavyBit) != fenBuiltBit {
-				continue
-			}
-			e.flags[nb] = fl &^ fenBuiltBit
-			if doMark {
-				e.lanes[e.part.ShardOf(nb)].markPeer(nb)
-			}
-		}
 		for k := rt.heavyRow[g]; k < rt.heavyRow[g+1]; k++ {
-			nb := rt.heavyNb[k]
-			tr := e.tree(nb)
+			h := rt.heavyHub[k]
+			tr := rt.fenSlab[rt.hubOff[h]:rt.hubOff[h+1]]
 			xrand.FenAdd(tr, int(rt.heavyLeaf[k]), wd[i])
 			tr[0] += wd[i]
 			if doMark {
-				e.lanes[e.part.ShardOf(nb)].markPeer(nb)
+				hub := rt.hubs[h]
+				e.lanes[e.part.ShardOf(hub)].markPeer(hub)
 			}
 		}
 	}
@@ -380,10 +375,15 @@ func (ln *Lane) PickNeighbor(t float64, g int32, nbrs []int32, r *xrand.SplitMix
 	if rt.naive {
 		return ln.naivePick(t, nbrs, r)
 	}
-	if e.flags[g]&fenBuiltBit == 0 {
-		e.rebuildTree(g)
+	var tr []float32
+	if rt.mode == RouteDegree || len(nbrs) > rt.heavyDeg {
+		tr = e.tree(g)
+	} else {
+		if cap(ln.fen) <= len(nbrs) {
+			ln.fen = make([]float32, len(nbrs)+1)
+		}
+		tr = fenFill(ln.fen[:len(nbrs)+1], nbrs, rt.weight)
 	}
-	tr := e.tree(g)
 	u := r.Float64() * float64(tr[0])
 	return nbrs[xrand.FenFind(tr, u)]
 }
@@ -424,17 +424,13 @@ func (ln *Lane) naivePick(t float64, nbrs []int32, r *xrand.SplitMix64) int32 {
 }
 
 // WarmSampler is the routing half of the dispatch prefetch: when the
-// kernel knows peer g fires shortly, rebuild its stale tree now (an
-// idempotent refresh of a mirror-derived cache — results never depend on
-// it) or touch its hot total. Owner-lane only; returns a value folding
-// the loads so the compiler keeps them.
+// kernel knows peer g fires shortly, touch its stored tree's total (a
+// pick-time tree has nothing stored to warm). Owner-lane only; returns a
+// value folding the load so the compiler keeps it.
 func (e *Engine) WarmSampler(g int32) uint32 {
-	if e.rt.fenSlab == nil {
+	rt := &e.rt
+	if rt.fenSlab == nil || rt.mode == RouteAvailability && e.part.Degree(g) <= rt.heavyDeg {
 		return 0
-	}
-	if e.flags[g]&fenBuiltBit == 0 {
-		e.rebuildTree(g)
-		return 1
 	}
 	return uint32(math.Float32bits(e.tree(g)[0]))
 }
@@ -453,9 +449,9 @@ func (e *Engine) RoutingWeight(g int32) float64 {
 func (e *Engine) RoutingMode() Routing { return e.rt.mode }
 
 // routingDigest folds the results-affecting routing parameters into the
-// snapshot config digest. HeavyDegree is results-affecting: heavy trees
-// accumulate patches in canonical order while light trees rebuild, and
-// the two float histories differ in rounding.
+// snapshot config digest. HeavyDegree is results-affecting: hub trees
+// accumulate patches in canonical order while light trees build fresh
+// from the mirror, and the two float histories differ in rounding.
 func (e *Engine) routingDigest(h uint64) uint64 {
 	rt := &e.rt
 	h = fnvU64(h, uint64(rt.mode))
@@ -471,8 +467,8 @@ func (e *Engine) routingDigest(h uint64) uint64 {
 	return h
 }
 
-// searchI32 returns the index of x in the ascending slice a (the CSR
-// neighbor row); x must be present.
+// searchI32 returns the index of the first element >= x in the ascending
+// slice a (x's index when present).
 func searchI32(a []int32, x int32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {

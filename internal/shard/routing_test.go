@@ -1,12 +1,16 @@
 package shard_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
+	"creditp2p/internal/snapshot"
 	"creditp2p/internal/xrand"
 )
 
@@ -194,7 +198,7 @@ func TestRoutingSamplerMatchesDegreeWeights(t *testing.T) {
 // TestRoutingSamplerMatchesAvailabilityMirror drives a churned run far
 // enough for the availability EWMA to spread the weight mirror, then
 // pins the Fenwick sampler's distribution against the exact frozen
-// weights (RoutingWeight — the values the slab trees are built from).
+// weights (RoutingWeight — the values the trees are built from).
 func TestRoutingSamplerMatchesAvailabilityMirror(t *testing.T) {
 	cfg := routedMarket(t, 1, shard.RoutingConfig{Mode: shard.RouteAvailability})
 	e, err := shard.New(cfg)
@@ -249,8 +253,8 @@ func searchNeighbor(t *testing.T, nbrs []int32, dst int32) int {
 // its boundaries — every peer heavy, the default, the strict-inequality
 // edge at the graph's maximum degree, and none heavy — and requires
 // shard-count invariance to hold at each point. Thresholds are
-// results-affecting by design (heavy trees fold patches, light trees
-// rebuild; the float histories differ in rounding), so fingerprints are
+// results-affecting by design (hub trees fold patches, light trees build
+// fresh; the float histories differ in rounding), so fingerprints are
 // only compared within a threshold, never across.
 func TestHeavyDegreeBoundarySweep(t *testing.T) {
 	probe, err := shard.New(routedMarket(t, 1, shard.RoutingConfig{Mode: shard.RouteAvailability}))
@@ -258,7 +262,7 @@ func TestHeavyDegreeBoundarySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxDeg := probe.Partition().Degree(maxDegreePeer(probe))
-	for _, heavy := range []int{1, 0 /* default 64 */, maxDeg - 1, maxDeg, 1 << 20} {
+	for _, heavy := range []int{1, 0 /* default 1024 */, maxDeg - 1, maxDeg, 1 << 20} {
 		rc := shard.RoutingConfig{Mode: shard.RouteAvailability, HeavyDegree: heavy}
 		base, err := shard.Run(routedMarket(t, 1, rc))
 		if err != nil {
@@ -317,9 +321,9 @@ func TestRoutingResumeParity(t *testing.T) {
 }
 
 // TestRoutingDeltaChainParity repeats resume parity over a base+deltas
-// chain: every routing mutation (mirror publish, EWMA update, heavy
-// patch, stale flip, lazy rebuild) must mark its peer's segment, or the
-// delta restore silently drops slab state and the finish diverges.
+// chain: every routing mutation (mirror publish, EWMA update, hub-tree
+// patch) must mark its peer's segment, or the delta restore silently
+// drops routing state and the finish diverges.
 func TestRoutingDeltaChainParity(t *testing.T) {
 	mk := func() shard.Config {
 		cfg := marketConfig(t, 4, taxPipeline(t))
@@ -396,10 +400,49 @@ func TestRoutingRestoreRefusesModeDrift(t *testing.T) {
 	}
 }
 
+// TestRoutingRestoreRefusesOldVersion pins the format bump that came with
+// hub-only trees: a version-2 file laid out its whole stored-tree slab, so
+// this build must refuse one with an error — never misparse it or panic —
+// whether it arrives as a full snapshot or as a chain.
+func TestRoutingRestoreRefusesOldVersion(t *testing.T) {
+	mk := func() shard.Config {
+		return routedMarket(t, 2, shard.RoutingConfig{Mode: shard.RouteAvailability})
+	}
+	sim, err := shard.NewSim(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stepWindows(t, sim, 5)
+	snap := sim.Snapshot()
+	if _, err := shard.RestoreSim(mk(), snap); err != nil {
+		t.Fatalf("current-version snapshot refused: %v", err)
+	}
+	// Rewrite the header to the previous version and reseal it, so only
+	// the version check stands between the file and the parser.
+	old := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(old[8:], snapshot.Version-1)
+	body := old[:len(old)-8]
+	binary.LittleEndian.PutUint64(old[len(old)-8:], uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))))
+	for name, restore := range map[string]func() error{
+		"snapshot": func() error { _, err := shard.RestoreSim(mk(), old); return err },
+		"chain":    func() error { _, err := shard.RestoreChain(mk(), [][]byte{old}); return err },
+	} {
+		err := restore()
+		if err == nil {
+			t.Errorf("%s: version-%d file accepted", name, snapshot.Version-1)
+		} else if !strings.Contains(err.Error(), "version") {
+			t.Errorf("%s: refused for the wrong reason: %v", name, err)
+		}
+	}
+}
+
 // TestRoutingSteadyStateZeroAlloc extends the PR 8 recycling pin to the
 // weighted sampler: once warm, a full availability-routed window — picks
-// through the slab trees, lazy rebuilds, the barrier's mirror publish and
-// heavy patches — allocates nothing.
+// through pick-time light trees and stored hub trees, the barrier's
+// mirror publish and hub patches — allocates nothing.
 func TestRoutingSteadyStateZeroAlloc(t *testing.T) {
 	cfg := marketConfig(t, 1, taxPipeline(t))
 	cfg.Routing = shard.RoutingConfig{Mode: shard.RouteAvailability}

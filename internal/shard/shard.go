@@ -61,6 +61,7 @@ import (
 	"sync"
 	"time"
 
+	"creditp2p/internal/cacheline"
 	"creditp2p/internal/des"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/snapshot"
@@ -146,12 +147,10 @@ type Workload interface {
 // ActorWarmer is an optional Workload extension: WarmActor touches the
 // workload's own per-actor state (pending-event handles, role tables) as
 // a prefetch hint when the kernel knows the actor will fire shortly. It
-// runs on the actor's owner lane and must be either a pure read —
-// returning a value folded from the loads keeps them observable (as
-// Engine.WarmSampler does for the sampler flag and total) — or an
-// idempotent owner-lane refresh of a derived cache whose contents are a
-// pure function of barrier-frozen state, so that simulation results
-// never depend on whether a warm happened.
+// runs on the actor's owner lane and must be a pure read — returning a
+// value folded from the loads keeps them observable, as
+// Engine.WarmSampler does for a stored tree's total — so that simulation
+// results never depend on whether a warm happened.
 type ActorWarmer interface {
 	WarmActor(g int32) uint32
 }
@@ -214,7 +213,13 @@ const (
 // events, the per-destination-shard outboxes, the lane-local slices of
 // the metric accumulators, and scratch. Workload hooks receive the lane
 // they run on.
+//
+// Lanes write their own records on every event from different cores, so
+// each lane's hot state owns its cache lines: the struct opens and closes
+// with a pad, and the small per-lane arrays it writes in-window (dirty
+// words, histogram, outbox headers) come from cacheline.Slice.
 type Lane struct {
+	_ cacheline.Pad
 	e *Engine
 	// S is the shard index.
 	S int
@@ -241,14 +246,20 @@ type Lane struct {
 	// warm sinks dispatch's read-ahead loads so the compiler keeps them;
 	// per-lane because dispatch runs concurrently across lanes.
 	warm uint32
-	// pick is the naive-rescan mode's recycled weight scratch (grow-once
-	// to the lane's max observed degree).
+	// pick is the naive-rescan mode's recycled weight scratch and fen the
+	// pick-time Fenwick tree scratch (both grow-once to the lane's max
+	// observed degree).
 	pick []float64
+	fen  []float32
 	// dirty tracks which peer segments of this lane's partition were
 	// touched since the last state capture — the delta-checkpoint
 	// bookkeeping. Segment k covers global peers [lo+k*peerSegSize,
 	// lo+(k+1)*peerSegSize) ∩ [lo, hi).
 	dirty snapshot.DirtyBits
+	// busy is the lane's dispatch time in the current window, folded
+	// into Timings by the coordinator after the dispatch phase.
+	busy time.Duration
+	_    cacheline.Pad
 }
 
 // markPeer flags the dirty segment holding global peer g, which must be
@@ -281,7 +292,7 @@ type Engine struct {
 	aliveEpoch []uint64
 
 	// rt is the weighted-routing state: the barrier-frozen weight mirror
-	// and the per-peer Fenwick slab (see routing.go).
+	// and the stored Fenwick trees (see routing.go).
 	rt routingState
 
 	lanes []*Lane
@@ -344,18 +355,10 @@ type Engine struct {
 // trimEvery is the window cadence of the high-water buffer trim.
 const trimEvery = 64
 
-// Per-peer flag bits. aliveBit is the owner-lane liveness view.
-// fenBuiltBit marks the peer's Fenwick tree as matching the frozen weight
-// mirror (cleared when a light peer's neighbor weight changes; heavy
-// peers' trees are patched in place and never go stale). heavyBit marks
-// degree > HeavyDegree, precomputed at New. Flag bytes are written only
-// by the owner lane in-window and the coordinator at barriers, so the
-// bits never race.
-const (
-	aliveBit    = uint8(1)
-	fenBuiltBit = uint8(2)
-	heavyBit    = uint8(4)
-)
+// aliveBit is the per-peer flag bit holding the owner-lane liveness
+// view. Flag bytes are written only by the owner lane in-window and the
+// coordinator at barriers, so the bits never race.
+const aliveBit = uint8(1)
 
 // New validates the configuration and builds an engine. Call Start (or
 // Run) to arm the initial events; a freshly built engine is also the
@@ -440,7 +443,7 @@ func New(cfg Config) (*Engine, error) {
 			lo:    lo,
 			hi:    hi,
 			sched: des.NewSchedulerKind(cfg.Queue),
-			out:   make([]des.MergeBuffer, e.p),
+			out:   cacheline.Slice[des.MergeBuffer](e.p),
 			liveN: int(hi - lo),
 		}
 		ln.supply = int64(hi-lo) * cfg.InitialWealth
@@ -456,10 +459,12 @@ func New(cfg Config) (*Engine, error) {
 	e.host.e = e
 	e.initRouting()
 	e.dispatchFn = func(ln *Lane) {
+		t0 := time.Now()
 		for d := range ln.out {
 			ln.out[d].Reset()
 		}
 		ln.sched.RunUntil(ln.e.bNow, ln.dispatch)
+		ln.busy = time.Since(t0)
 	}
 	e.applyFn = func(ln *Lane) { ln.applyInbound() }
 	// Pre-size the metric series to the whole run's sample count so
@@ -535,6 +540,12 @@ func (e *Engine) StepWindow() bool {
 	e.parallel(e.dispatchFn)
 	t1 := time.Now()
 	e.timings.Dispatch += t1.Sub(t0)
+	var busyMax time.Duration
+	for _, ln := range e.lanes {
+		e.timings.LaneBusy += ln.busy
+		busyMax = max(busyMax, ln.busy)
+	}
+	e.timings.LaneBusyMax += busyMax
 	// Phases 2+3 (merge, apply): deliver the window's buffered effects.
 	// Without a policy pipeline there is no merge — each lane applies its
 	// own inbound buckets in parallel (delivery on disjoint destination
@@ -800,7 +811,7 @@ func (ln *Lane) growHist(b int64) {
 		if nw <= b {
 			nw = b + 1
 		}
-		t := make([]int64, nw)
+		t := cacheline.Slice[int64](int(nw))
 		copy(t, ln.hist)
 		ln.hist = t
 	}

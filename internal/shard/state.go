@@ -99,36 +99,27 @@ func (ln *Lane) save(w *snapshot.Writer) {
 	w.U64(ln.lostCount)
 	w.Int(ln.liveN)
 	w.I64s(trimHist(ln.hist))
-	ln.saveRouting(w)
+	ln.e.saveRouting(w, ln.lo, ln.hi)
 }
 
-// saveRouting emits the lane's slices of the routing state: the weight
-// mirror, the availability EWMA, and the lane's span of the Fenwick slab
-// (peer trees are laid out in peer order, so a lane's trees are
-// contiguous). Serializing the trees — rather than rebuilding on restore
-// — preserves the exact built/stale split and the heavy trees' patch
-// history, keeping resumed byte streams identical.
-func (ln *Lane) saveRouting(w *snapshot.Writer) {
-	rt := &ln.e.rt
-	if rt.mode == RouteUniform {
+// saveRouting emits the routing state of peers [lo, hi) — a lane in a
+// full capture, a dirty segment in a delta: the availability mirror, the
+// EWMA state and the span's hub trees (stored in peer order, so a span's
+// trees are contiguous). Serializing the hub trees — rather than
+// rebuilding on restore — preserves their patch history, keeping resumed
+// byte streams identical. Degree-routing state is a pure function of the
+// graph that New rebuilds, so it emits nothing.
+func (e *Engine) saveRouting(w *snapshot.Writer, lo, hi int32) {
+	rt := &e.rt
+	if rt.mode != RouteAvailability {
 		return
 	}
-	w.F32s(rt.weight[ln.lo:ln.hi])
-	if rt.mode == RouteAvailability {
-		w.F64s(rt.score[ln.lo:ln.hi])
-		w.F64s(rt.scoreT[ln.lo:ln.hi])
-	}
+	w.F32s(rt.weight[lo:hi])
+	w.F64s(rt.score[lo:hi])
+	w.F64s(rt.scoreT[lo:hi])
 	if rt.fenSlab != nil {
-		s0, s1 := ln.slabSpan()
-		w.F32s(rt.fenSlab[s0:s1])
+		w.F32s(rt.fenSlab[e.treeStart(lo):e.treeStart(hi)])
 	}
-}
-
-// slabSpan returns the lane's Fenwick-slab bounds: peer g's tree starts
-// at RowStart(g)+g, so the lane's trees occupy [start(lo), start(hi)).
-func (ln *Lane) slabSpan() (lo, hi int64) {
-	pt := ln.e.part
-	return pt.RowStart(ln.lo) + int64(ln.lo), pt.RowStart(ln.hi) + int64(ln.hi)
 }
 
 // saveWorkload emits the workload section.
@@ -261,7 +252,7 @@ func (e *Engine) LoadState(r *snapshot.Reader) error {
 			ln.growHist(int64(len(hist) - 1))
 			copy(ln.hist, hist)
 		}
-		if err := ln.loadRouting(r); err != nil {
+		if err := e.loadRouting(r, ln.lo, ln.hi); err != nil {
 			return err
 		}
 	}
@@ -273,28 +264,24 @@ func (e *Engine) LoadState(r *snapshot.Reader) error {
 	return r.Err()
 }
 
-// loadRouting restores the lane's routing slices, mirroring saveRouting.
-func (ln *Lane) loadRouting(r *snapshot.Reader) error {
-	rt := &ln.e.rt
-	if rt.mode == RouteUniform {
+// loadRouting restores the routing state of peers [lo, hi), mirroring
+// saveRouting.
+func (e *Engine) loadRouting(r *snapshot.Reader, lo, hi int32) error {
+	rt := &e.rt
+	if rt.mode != RouteAvailability {
 		return nil
 	}
-	if err := loadF32Into(r, rt.weight[ln.lo:ln.hi], "routing weights"); err != nil {
+	if err := loadF32Into(r, rt.weight[lo:hi], "routing weights"); err != nil {
 		return err
 	}
-	if rt.mode == RouteAvailability {
-		if err := loadF64Into(r, rt.score[ln.lo:ln.hi], "availability scores"); err != nil {
-			return err
-		}
-		if err := loadF64Into(r, rt.scoreT[ln.lo:ln.hi], "availability score times"); err != nil {
-			return err
-		}
+	if err := loadF64Into(r, rt.score[lo:hi], "availability scores"); err != nil {
+		return err
+	}
+	if err := loadF64Into(r, rt.scoreT[lo:hi], "availability score times"); err != nil {
+		return err
 	}
 	if rt.fenSlab != nil {
-		s0, s1 := ln.slabSpan()
-		if err := loadF32Into(r, rt.fenSlab[s0:s1], "sampler slab"); err != nil {
-			return err
-		}
+		return loadF32Into(r, rt.fenSlab[e.treeStart(lo):e.treeStart(hi)], "hub trees")
 	}
 	return nil
 }

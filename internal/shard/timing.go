@@ -21,8 +21,8 @@ import (
 //	         without policies, one canonical coordinator pass with them)
 //	Churn    — lifecycle merge into the epoch bitmap, policy epoch hooks,
 //	         metric samples
-//	Publish  — weight-mirror publish: availability EWMA fold and Fenwick
-//	         refresh (availability routing only; zero otherwise)
+//	Publish  — weight-mirror publish: availability EWMA fold and hub-tree
+//	         patches (availability routing only; zero otherwise)
 type Timings struct {
 	// Windows counts completed conservative-sync windows.
 	Windows uint64
@@ -35,6 +35,18 @@ type Timings struct {
 	Apply    time.Duration
 	Churn    time.Duration
 	Publish  time.Duration
+
+	// LaneBusy sums every lane's own dispatch wall time over every
+	// window; LaneBusyMax sums each window's slowest lane. With no more
+	// lanes than free CPUs, LaneBusyMax is the part of Dispatch the lanes
+	// cannot overlap (the rest is goroutine start and join) and
+	// LaneBusy/LaneBusyMax the mean number of busy lanes; with more lanes
+	// than CPUs, a lane's wall time also counts time it sat descheduled.
+	// At a fixed workload, a per-lane slowdown that grows with P — false
+	// sharing, memory bandwidth — shows as LaneBusy rising above the P=1
+	// dispatch time.
+	LaneBusy    time.Duration
+	LaneBusyMax time.Duration
 
 	// Checkpoint sub-spans (populated when a Checkpointer is attached).
 	// Wait + Copy is the barrier-visible stall: Wait drains the previous
@@ -91,6 +103,13 @@ func (t Timings) Write(w io.Writer) error {
 	}
 	if _, err := fmt.Fprintf(w, "  %-8s %12v\n", "total", total.Round(time.Microsecond)); err != nil {
 		return err
+	}
+	if t.LaneBusyMax > 0 {
+		if _, err := fmt.Fprintf(w, "lane dispatch busy: %v summed over lanes, %v summed per-window max (ratio %.2f)\n",
+			t.LaneBusy.Round(time.Microsecond), t.LaneBusyMax.Round(time.Microsecond),
+			float64(t.LaneBusy)/float64(t.LaneBusyMax)); err != nil {
+			return err
+		}
 	}
 	if t.Checkpoints == 0 {
 		return nil

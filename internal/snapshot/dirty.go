@@ -1,6 +1,10 @@
 package snapshot
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"creditp2p/internal/cacheline"
+)
 
 // DirtyBits is the fixed-size-segment dirty bitmap delta checkpoints are
 // built on: mutation paths Mark the segment covering each touched element,
@@ -8,6 +12,9 @@ import "math/bits"
 // Clears wholesale. Marking is one shift, one OR — cheap enough to stay
 // always-on in event-dispatch hot paths — and never allocates once Grow
 // has sized the map, preserving the kernel's zero-alloc barrier contract.
+// The word array owns its cache lines: the sharded kernel's lanes each
+// mark their own maps on every event, and maps small enough to share a
+// line would bounce it between cores.
 type DirtyBits struct {
 	words []uint64
 	segs  int
@@ -22,7 +29,7 @@ func (d *DirtyBits) Grow(nSegs int) {
 	}
 	d.segs = nSegs
 	if need := (nSegs + 63) >> 6; need > len(d.words) {
-		w := make([]uint64, need+need/2)
+		w := cacheline.Slice[uint64](need + need/2)
 		copy(w, d.words)
 		d.words = w
 	}

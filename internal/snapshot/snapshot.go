@@ -38,7 +38,10 @@ import (
 // Version 2: scheduler slabs carry per-slot sequence numbers and derive the
 // pending set from slot states (no serialized pending pairs), and snapshots
 // may open with a chain-link header tying delta checkpoints to their base.
-const Version uint32 = 2
+// Version 3: sharded availability-routing state carries only the hub
+// trees (light trees build at pick time), and degree-routing state —
+// static, rebuilt from the graph — is not stored.
+const Version uint32 = 3
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
 var magic = [8]byte{'C', 'P', '2', 'P', 'S', 'N', 'A', 'P'}

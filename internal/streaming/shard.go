@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"creditp2p/internal/cacheline"
 	"creditp2p/internal/des"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
@@ -43,7 +44,11 @@ type ShardStreaming struct {
 	hscratch []uint64
 }
 
+// shardStreamCounters is one lane's counter record. Every event
+// increments it, so the pads keep it off any line another lane's record
+// (or anything else) occupies.
 type shardStreamCounters struct {
+	_             cacheline.Pad
 	rounds        uint64
 	chunkRequests uint64
 	chunksSeeded  uint64
@@ -51,6 +56,7 @@ type shardStreamCounters struct {
 	chunksOffline uint64
 	chunksStalled uint64
 	failIsolated  uint64
+	_             cacheline.Pad
 }
 
 // NewShard builds the sharded streaming workload.
@@ -130,8 +136,7 @@ func (s *ShardStreaming) OnEvent(ln *shard.Lane, ev des.Event) {
 }
 
 // WarmActor implements shard.ActorWarmer: it touches the peer's pending
-// handle and warms the routing sampler, rebuilding a barrier-staled
-// Fenwick tree ahead of the round's picks.
+// handle and warms the routing sampler ahead of the round's picks.
 func (s *ShardStreaming) WarmActor(g int32) uint32 {
 	return uint32(s.pend[g].Pack()) + s.e.WarmSampler(g)
 }

@@ -9,8 +9,8 @@ import (
 // contiguous shard segments for the sharded kernel. Peers are partitioned
 // by index block — shard s owns global indices [s·block, (s+1)·block) —
 // so a lane's peer state and its segment of the adjacency arena are both
-// contiguous in memory, and resolving a peer's shard is one integer
-// division with no lookup table.
+// contiguous in memory, and resolving a peer's shard is one multiply and
+// one shift (exact division by the block size) with no lookup table.
 //
 // The partition also carries the cross-edge index: per-shard counts of
 // directed edges whose endpoint lives on another shard, and the sorted
