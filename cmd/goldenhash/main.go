@@ -6,8 +6,8 @@
 // run counts its events, a second run crashes a third of the way in and
 // writes a snapshot, and a third process-fresh simulation restores the
 // snapshot and runs to completion. The printed hashes are the resumed
-// runs'; diffing them against the default mode's (scenario lines excluded)
-// asserts byte-identical resume for every mechanism combo. -queue and
+// runs'; diffing them against the default mode's (scenario and paper lines
+// excluded) asserts byte-identical resume for every mechanism combo. -queue and
 // -fast override the event-queue backend and the sampling mode across the
 // market combos, so the same drill covers {heap, calendar} x {exact,
 // fast-sampling} without extra case tables.
@@ -24,6 +24,7 @@ import (
 
 	"creditp2p/internal/credit"
 	"creditp2p/internal/des"
+	"creditp2p/internal/experiments"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/scenario"
@@ -194,6 +195,26 @@ func graphLines() {
 		}
 		fmt.Printf("graph/%-19s %016x\n", c.name, hashGraph(g))
 	}
+}
+
+// paperLines prints one line per registered paper experiment, in registry
+// order: the FNV-1a hash of its Quick-preset output bytes. paper/all hashes
+// the concatenation of those outputs, the same bytes the end-to-end
+// benchmark's paper-quick fingerprint covers.
+func paperLines() {
+	all := fnv.New64a()
+	var buf bytes.Buffer
+	for _, e := range experiments.All() {
+		buf.Reset()
+		if err := e.Run(experiments.Quick, &buf); err != nil {
+			panic(e.ID + ": " + err.Error())
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		all.Write(buf.Bytes())
+		fmt.Printf("paper/%-19s %016x\n", e.ID, h.Sum64())
+	}
+	fmt.Printf("paper/%-19s %016x\n", "all", all.Sum64())
 }
 
 func poisson() credit.Pricing {
@@ -468,7 +489,7 @@ func shardLines(shards int, resume, deltaResume bool) {
 }
 
 func main() {
-	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario lines omitted)")
+	resume := flag.Bool("resume", false, "run every combo through the crash/snapshot/restore drill and print the resumed hashes (scenario and paper lines omitted)")
 	deltaResume := flag.Bool("delta-resume", false, "run only the shard/* combos, through the delta-chain crash/resume drill: checkpoint via a pipelined base+deltas chain, crash a third in, restore the chain (asserting byte-identity with a full snapshot) and finish")
 	queue := flag.String("queue", "", "override the market event-queue backend: heap or calendar")
 	fast := flag.Bool("fast", false, "override the market combos to Fenwick-backed fast sampling")
@@ -675,8 +696,9 @@ func main() {
 	graphLines()
 
 	if *resume {
-		// Scenario presets are config sugar over the same two simulators;
-		// the drill above already covers their mechanism space.
+		// Scenario presets and paper experiments are config sugar over the
+		// same simulators; the drill above already covers their mechanism
+		// space.
 		return
 	}
 	for _, name := range []string{
@@ -695,4 +717,5 @@ func main() {
 		}
 		fmt.Printf("scenario/%-16s %016x\n", name, sum)
 	}
+	paperLines()
 }
