@@ -98,8 +98,9 @@ func (a heapEntry) before(b heapEntry) bool {
 type QueueKind int
 
 const (
-	// Heap is the 4-ary min-heap: O(log n) per operation, lowest constant
-	// factors at small pending-set sizes. The default.
+	// Heap is the 4-ary min-heap: O(log n) per operation. The default.
+	// It is no faster than Calendar even at the paper's 50–400 peers
+	// (DESIGN.md, "Calendar-queue scheduler").
 	Heap QueueKind = iota
 	// Calendar is the bucketed calendar queue: O(1) amortized per
 	// operation for the roughly stationary event-time distributions the

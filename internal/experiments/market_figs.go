@@ -72,7 +72,9 @@ func init() {
 func runInflation(p Preset, w io.Writer) error {
 	s := scaleOf(p)
 	injections := []int64{0, 1, 4}
-	results, err := parMap(len(injections), func(i int) (*market.Result, error) {
+	// Measured seconds per market at Quick.
+	cost := []float64{0.11, 0.14, 0.16}
+	results, err := parMap(cost, func(i int) (*market.Result, error) {
 		cfg, err := asymmetricConfig(s, 20, 808)
 		if err != nil {
 			return nil, err
@@ -231,17 +233,24 @@ func runFig3(p Preset, w io.Writer) error {
 		}
 		return h
 	}()...)}
-	// Fan the (c, N) grid across the worker pool: every point is an
-	// independent seeded simulation.
-	ginis, err := parMap(len(wealths)*len(sizes), func(k int) (float64, error) {
-		c, n := wealths[k/len(sizes)], sizes[k%len(sizes)]
+	// point returns the k-th (c, N) pair of the grid and its horizon.
+	// Larger c mixes slower, so the horizon scales with c to let every
+	// point reach its equilibrium.
+	point := func(k int) (c int64, n int, horizon float64) {
+		c, n = wealths[k/len(sizes)], sizes[k%len(sizes)]
+		return c, n, max(s.horizon, float64(c)*s.horizon/40)
+	}
+	cost := make([]float64, len(wealths)*len(sizes))
+	for k := range cost {
+		_, n, horizon := point(k)
+		cost[k] = float64(n) * horizon
+	}
+	// Fan the grid across the worker pool: every point is an independent
+	// seeded simulation.
+	ginis, err := parMap(cost, func(k int) (float64, error) {
 		// One fixed utilization draw per N so the c-sweep varies only
-		// the credit supply. Larger c mixes slower, so the horizon
-		// scales with c to let every point reach its equilibrium.
-		horizon := s.horizon
-		if h := float64(c) * s.horizon / 40; h > horizon {
-			horizon = h
-		}
+		// the credit supply.
+		c, n, horizon := point(k)
 		sc := s
 		sc.n, sc.horizon, sc.sample = n, horizon, horizon/40
 		cfg, err := asymmetricConfig(sc, c, int64(n)*7)
@@ -313,12 +322,18 @@ func runFig6(p Preset, w io.Writer) error { return snapshotExperiment(p, w, true
 func giniEvolution(p Preset, w io.Writer, asymmetric bool) error {
 	s := scaleOf(p)
 	wealths := []int64{50, 100, 200}
-	results, err := parMap(len(wealths), func(i int) (*market.Result, error) {
+	// Richer markets mix more slowly; give every c enough horizon to
+	// stabilize (the paper runs 40 000 s for the same reason). The peer
+	// count is fixed, so the horizon is each point's cost.
+	horizon := func(c int64) float64 { return max(s.horizon, float64(c)*s.horizon/50) }
+	cost := make([]float64, len(wealths))
+	for i, c := range wealths {
+		cost[i] = horizon(c)
+	}
+	results, err := parMap(cost, func(i int) (*market.Result, error) {
 		c := wealths[i]
-		// Richer markets mix more slowly; give every c enough horizon to
-		// stabilize (the paper runs 40 000 s for the same reason).
 		sc := s
-		if h := float64(c) * s.horizon / 50; h > sc.horizon {
+		if h := horizon(c); h > sc.horizon {
 			sc.horizon = h
 			sc.sample = h / 40
 		}
@@ -370,7 +385,9 @@ func runFig9(p Preset, w io.Writer) error {
 		{"rate=0.1 thres.=80", 0.1, 80},
 		{"rate=0.2 thres.=80", 0.2, 80},
 	}
-	results, err := parMap(len(cases), func(i int) (*market.Result, error) {
+	// Measured seconds per market at Quick.
+	cost := []float64{0.16, 0.19, 0.20, 0.19, 0.20}
+	results, err := parMap(cost, func(i int) (*market.Result, error) {
 		cfg, err := asymmetricConfig(s, c, 412)
 		if err != nil {
 			return nil, err
@@ -407,7 +424,9 @@ func runFig10(p Preset, w io.Writer) error {
 	s := scaleOf(p)
 	const c = 100
 	names := []string{"without adjustment", "with adjustment"}
-	results, err := parMap(len(names), func(i int) (*market.Result, error) {
+	// Measured seconds per market at Quick.
+	cost := []float64{0.15, 0.24}
+	results, err := parMap(cost, func(i int) (*market.Result, error) {
 		cfg, err := asymmetricConfig(s, c, 512)
 		if err != nil {
 			return nil, err
@@ -475,7 +494,17 @@ func runFig11(p Preset, w io.Writer) error {
 			items = append(items, item{pi, ri})
 		}
 	}
-	results, err := parMap(len(items), func(k int) (*market.Result, error) {
+	// Every run shares the horizon, so a run's cost is its steady
+	// population.
+	cost := make([]float64, len(items))
+	for k, it := range items {
+		r := panels[it.panel].runs[it.run]
+		cost[k] = r.arrival * r.lifespan * popScale
+		if r.static {
+			cost[k] = float64(s.n)
+		}
+	}
+	results, err := parMap(cost, func(k int) (*market.Result, error) {
 		r := panels[items[k].panel].runs[items[k].run]
 		sc := s
 		sc.horizon, sc.sample = horizon, horizon/40

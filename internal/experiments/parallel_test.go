@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"creditp2p/internal/market"
@@ -9,14 +12,31 @@ import (
 	"creditp2p/internal/xrand"
 )
 
-func TestParMapOrdersResults(t *testing.T) {
-	out, err := parMap(100, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
+// costs returns n pseudo-random point costs with many ties.
+func costs(n int, seed int64) []float64 {
+	r := xrand.New(seed)
+	c := make([]float64, n)
+	for i := range c {
+		c[i] = float64(r.Intn(7))
 	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+	return c
+}
+
+func TestParMapOrdersResults(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		out, err := parMap(costs(100, int64(procs)), func(i int) (int, error) { return i * i, nil })
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 100 {
+			t.Fatalf("GOMAXPROCS=%d: %d results, want 100", procs, len(out))
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("GOMAXPROCS=%d: out[%d] = %d, want %d", procs, i, v, i*i)
+			}
 		}
 	}
 }
@@ -24,7 +44,10 @@ func TestParMapOrdersResults(t *testing.T) {
 func TestParMapReturnsFirstErrorByIndex(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	_, err := parMap(64, func(i int) (int, error) {
+	// The later failure is the costlier point, so it runs first.
+	cost := make([]float64, 64)
+	cost[40] = 1
+	_, err := parMap(cost, func(i int) (int, error) {
 		switch i {
 		case 9:
 			return 0, errA
@@ -38,8 +61,41 @@ func TestParMapReturnsFirstErrorByIndex(t *testing.T) {
 	}
 }
 
+func TestParMapRunsEachIndexOnce(t *testing.T) {
+	calls := make([]atomic.Int32, 200)
+	if _, err := parMap(costs(len(calls), 3), func(i int) (int, error) {
+		calls[i].Add(1)
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("index %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestParMapDispatchesLongestFirst pins the dispatch order with one worker:
+// descending cost, ties by ascending index.
+func TestParMapDispatchesLongestFirst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cost := []float64{0.3, 2, 0.3, 5, 0, 2, 0.3}
+	var got []int
+	if _, err := parMap(cost, func(i int) (int, error) {
+		got = append(got, i)
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 1, 5, 0, 2, 6, 4}
+	if !slices.Equal(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+}
+
 func TestParMapZeroItems(t *testing.T) {
-	out, err := parMap(0, func(i int) (int, error) { return 0, nil })
+	out, err := parMap(nil, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("parMap(0) = %v, %v", out, err)
 	}

@@ -37,18 +37,23 @@ func PolicySweep(rates []float64, p Preset, w io.Writer) error {
 	const wealth = 20
 	threshold := int64(wealth) // tax above the average wealth, per Sec. VI-C
 
+	// cost is the variant's measured run time at Quick in seconds: every
+	// variant simulates the same market, and the policies add work.
 	type variant struct {
 		name  string
+		cost  float64
 		build func() ([]policy.Policy, float64, error)
 	}
 	variants := []variant{{
 		name:  "none",
+		cost:  0.12,
 		build: func() ([]policy.Policy, float64, error) { return nil, 0, nil },
 	}}
 	for _, rate := range rates {
 		rate := rate
 		variants = append(variants, variant{
 			name: fmt.Sprintf("tax=%s", trace.FormatFloat(rate)),
+			cost: 0.16,
 			build: func() ([]policy.Policy, float64, error) {
 				it, err := policy.NewIncomeTax(rate, threshold)
 				if err != nil {
@@ -61,6 +66,7 @@ func PolicySweep(rates []float64, p Preset, w io.Writer) error {
 	variants = append(variants,
 		variant{
 			name: "adaptive(g=0.3)",
+			cost: 0.23,
 			build: func() ([]policy.Policy, float64, error) {
 				at, err := policy.NewAdaptiveTax(policy.AdaptiveTaxConfig{
 					TargetGini: 0.3, Gain: 0.5, MaxRate: 0.8, Threshold: threshold,
@@ -73,6 +79,7 @@ func PolicySweep(rates []float64, p Preset, w io.Writer) error {
 		},
 		variant{
 			name: "demurrage=0.05",
+			cost: 0.14,
 			build: func() ([]policy.Policy, float64, error) {
 				d, err := policy.NewDemurrage(0.05, 2*wealth)
 				if err != nil {
@@ -83,7 +90,11 @@ func PolicySweep(rates []float64, p Preset, w io.Writer) error {
 		},
 	)
 
-	results, err := parMap(len(variants), func(i int) (*market.Result, error) {
+	cost := make([]float64, len(variants))
+	for i, v := range variants {
+		cost[i] = v.cost
+	}
+	results, err := parMap(cost, func(i int) (*market.Result, error) {
 		cfg, err := asymmetricConfig(s, wealth, 909)
 		if err != nil {
 			return nil, err

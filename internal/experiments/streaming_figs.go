@@ -50,8 +50,7 @@ func fig1ScaleOf(p Preset) fig1Scale {
 
 func fig1Overlay(n int, seed int64) (*topology.Graph, error) {
 	// Degree-regular mesh: isolates the paper's knobs (wealth and pricing)
-	// from degree-driven income dispersion; see EXPERIMENTS.md for the
-	// scale-free variant.
+	// from degree-driven income dispersion.
 	return topology.RandomRegular(n, 16, xrand.New(seed))
 }
 
@@ -95,7 +94,9 @@ func spendingProfile(res *streaming.Result) []float64 {
 
 func runFig1(p Preset, w io.Writer) error {
 	s := fig1ScaleOf(p)
-	results, err := parMap(2, func(i int) (*streaming.Result, error) {
+	// Measured seconds per market at Quick.
+	cost := []float64{0.32, 0.58}
+	results, err := parMap(cost, func(i int) (*streaming.Result, error) {
 		g, err := fig1Overlay(s.n, 7)
 		if err != nil {
 			return nil, err
@@ -170,7 +171,9 @@ func runPricing(p Preset, w io.Writer) error {
 			return credit.PerPeerPricing{Prices: prices, Default: 1}, nil
 		}},
 	}
-	results, err := parMap(len(schemes), func(i int) (*streaming.Result, error) {
+	// Measured seconds per scheme at Quick.
+	cost := []float64{0.25, 0.68, 0.27, 0.70}
+	results, err := parMap(cost, func(i int) (*streaming.Result, error) {
 		g, err := fig1Overlay(s.n, 31)
 		if err != nil {
 			return nil, err

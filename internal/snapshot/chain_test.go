@@ -135,6 +135,26 @@ func TestSealMatchesSingleWriter(t *testing.T) {
 	}
 }
 
+// TestSealRecyclesGrowingBuffer pins the seal buffer's headroom: once
+// allocated, a buffer absorbs later seals that grow by less than an eighth,
+// as successive checkpoints of a growing run do.
+func TestSealRecyclesGrowingBuffer(t *testing.T) {
+	fragment := func(n int) [][]byte {
+		w := snapshot.NewWriter(n)
+		w.Section("body")
+		w.U8s(make([]byte, n))
+		return [][]byte{w.Frame()}
+	}
+	buf, _ := snapshot.Seal(nil, fragment(10_000))
+	first := &buf[0]
+	for n := 10_000; n < 11_000; n += 100 {
+		buf, _ = snapshot.Seal(buf, fragment(n))
+		if &buf[0] != first {
+			t.Fatalf("a seal of a %d-byte fragment reallocated the buffer sized for 10000", n)
+		}
+	}
+}
+
 // TestWriterReset pins buffer recycling: a Reset writer re-emits the
 // header (or stays raw) and reproduces identical bytes.
 func TestWriterReset(t *testing.T) {

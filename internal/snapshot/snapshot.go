@@ -129,7 +129,9 @@ func (w *Writer) Finish() []byte {
 
 // Seal concatenates fragments into dst (recycled when its capacity
 // suffices), appends the checksum trailer, and returns the sealed snapshot
-// along with its trailer value. The first fragment must begin with the
+// along with its trailer value. A new buffer gets an eighth of headroom:
+// successive checkpoints of a run grow slowly, and an exact-size buffer
+// would be reallocated on almost every seal. The first fragment must begin with the
 // magic + version header (a NewWriter fragment); the rest are raw. The
 // sealed bytes are identical to a single Writer emitting the same sections
 // in order, so serial and parallel encodes are byte-interchangeable.
@@ -139,7 +141,7 @@ func Seal(dst []byte, parts [][]byte) ([]byte, uint64) {
 		total += len(p)
 	}
 	if cap(dst) < total {
-		dst = make([]byte, 0, total)
+		dst = make([]byte, 0, total+total/8)
 	} else {
 		dst = dst[:0]
 	}

@@ -1,25 +1,21 @@
 package xrand
 
-import (
-	"math/rand"
+import "creditp2p/internal/snapshot"
 
-	"creditp2p/internal/snapshot"
-)
-
-// SaveState records the stream position: its seed and how many source draws
-// have been consumed. Together they pin the generator exactly — every
-// sampler draws through the one counted source, so (seed, draws) is the
-// complete state.
+// SaveState records the stream position: its seed and how many generator
+// steps have been consumed. Together they pin the generator exactly — every
+// sampler draws through the one register, so (seed, draws) is the complete
+// state.
 func (r *RNG) SaveState(w *snapshot.Writer) {
 	w.Section("rng")
 	w.I64(r.seed)
-	w.U64(r.cs.draws)
+	w.U64(r.draws)
 }
 
-// LoadState repositions the stream: a fresh source with the recorded seed is
-// fast-forwarded by replaying the recorded number of draws. Replay runs at
-// tens of millions of draws per second, so even long runs restore in well
-// under a second per stream.
+// LoadState repositions the stream: the register is reseeded with the
+// recorded seed and fast-forwarded by replaying the recorded number of
+// steps. Replay runs at hundreds of millions of steps per second, so even
+// long runs restore in well under a second per stream.
 func (r *RNG) LoadState(rd *snapshot.Reader) {
 	rd.Section("rng")
 	seed := rd.I64()
@@ -27,14 +23,10 @@ func (r *RNG) LoadState(rd *snapshot.Reader) {
 	if rd.Err() != nil {
 		return
 	}
-	cs := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-	for i := uint64(0); i < draws; i++ {
-		cs.src.Uint64()
+	r.reseed(seed)
+	for range draws {
+		r.next()
 	}
-	cs.draws = draws
-	r.seed = seed
-	r.cs = cs
-	r.src = rand.New(cs)
 }
 
 // SaveState serializes the sampler verbatim. The tree is order-sensitive

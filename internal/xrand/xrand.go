@@ -3,10 +3,11 @@
 //
 // Every stochastic component in this repository draws randomness through an
 // *xrand.RNG seeded explicitly, so that simulations, experiments and tests
-// are reproducible bit-for-bit. The package wraps math/rand with the
-// distributions the paper's model needs: exponential service times, Poisson
-// arrivals and chunk prices, bounded power-law (Zipf-like) degrees for
-// scale-free overlays, and O(1) weighted sampling for credit routing.
+// are reproducible bit-for-bit. The package reproduces math/rand's streams
+// and adds the distributions the paper's model needs: exponential service
+// times, Poisson arrivals and chunk prices, bounded power-law (Zipf-like)
+// degrees for scale-free overlays, and O(1) weighted sampling for credit
+// routing.
 package xrand
 
 import (
@@ -19,66 +20,187 @@ import (
 // concurrent use; simulators are single-threaded by design and tests that
 // need parallelism create one RNG per goroutine.
 //
-// Every stream is positionable: the generator counts source draws, so its
-// exact position is (seed, draws) and a checkpoint can fast-forward a fresh
-// stream to the same point (see state.go). This works because every sampler
-// in this package and every math/rand.Rand method funnels through the
-// single underlying source, each call advancing it by exactly one step.
+// The generator is math/rand's additive lagged-Fibonacci source (Mitchell
+// and Reeds: x[n] = x[n-607] + x[n-273]), owned here by value so that the
+// hot samplers step it inline instead of through rand.Rand's two interface
+// calls per draw. Seeding, the step and every derived method reproduce
+// math/rand bit for bit, so each seed yields the stream rand.New(
+// rand.NewSource(seed)) would.
+//
+// Every stream is positionable: the generator counts steps, so its exact
+// position is (seed, draws) and a checkpoint can fast-forward a fresh
+// stream to the same point (see state.go). This works because every
+// sampler in this package advances the register by exactly one step per
+// 63-bit draw.
 type RNG struct {
-	src  *rand.Rand
-	cs   *countedSource
-	seed int64
+	vec       [rngLen]int64
+	tap, feed int
+	draws     uint64
+	seed      int64
+	std       *rand.Rand // built on first use, for NormFloat64 and Perm
 }
 
-// countedSource wraps the math/rand source, counting draws so the stream
-// position can be captured and replayed.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
+)
 
 // New returns an RNG seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *RNG {
-	cs := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{src: rand.New(cs), cs: cs, seed: seed}
+	r := &RNG{}
+	r.reseed(seed)
+	return r
+}
+
+// reseed puts r at the start of math/rand's stream for seed without a copy
+// of its seeding table: after rngLen steps every register word holds
+// exactly one output and both indexes are back at their seeded values, so
+// the register is filled from the first rngLen outputs and the recurrence
+// is run backwards rngLen steps.
+func (r *RNG) reseed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	r.tap, r.feed = 0, rngLen-rngTap
+	for range rngLen {
+		r.step()
+		r.vec[r.feed] = int64(src.Uint64())
+	}
+	for range rngLen {
+		r.vec[r.feed] -= r.vec[r.tap]
+		if r.tap++; r.tap == rngLen {
+			r.tap = 0
+		}
+		if r.feed++; r.feed == rngLen {
+			r.feed = 0
+		}
+	}
+	r.seed, r.draws = seed, 0
+}
+
+// step moves both register indexes back one word, as math/rand's source
+// does before each output.
+func (r *RNG) step() {
+	if r.tap--; r.tap < 0 {
+		r.tap += rngLen
+	}
+	if r.feed--; r.feed < 0 {
+		r.feed += rngLen
+	}
+}
+
+// next advances the generator one step and returns its 64-bit output.
+func (r *RNG) next() uint64 {
+	r.draws++
+	r.step()
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return uint64(x)
 }
 
 // Split derives a new, independent RNG from the current stream. It is used
 // to hand sub-components their own reproducible streams so that adding draws
 // in one component does not perturb another.
 func (r *RNG) Split() *RNG {
-	return New(r.src.Int63())
+	return New(r.Int63())
 }
 
-// Float64 returns a uniform sample from [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+// Int63 returns a non-negative uniform 63-bit integer.
+func (r *RNG) Int63() int64 { return int64(r.next() & rngMask) }
+
+// Float64 returns a uniform sample from [0, 1). As in math/rand, it
+// redraws in the rare case that the quotient rounds up to 1.
+func (r *RNG) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform sample from {0, ..., n-1}. n must be positive.
-func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
+func (r *RNG) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.int31n(int32(n)))
+	}
+	return int(r.int63n(int64(n)))
+}
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
+// int31n is math/rand's Int31n: a mask for powers of two, otherwise
+// rejection of the top partial range and a modulus.
+func (r *RNG) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(r.Int63()>>32) & (n - 1)
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := int32(r.Int63() >> 32)
+	for v > limit {
+		v = int32(r.Int63() >> 32)
+	}
+	return v % n
+}
+
+// int63n is math/rand's Int63n, the same scheme over 63 bits.
+func (r *RNG) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	limit := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > limit {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// lemire31n is math/rand's unexported int31n, Lemire's multiply-shift
+// reduction of a 32-bit draw; only Shuffle uses it.
+func (r *RNG) lemire31n(n int32) int32 {
+	prod := uint64(uint32(r.Int63()>>31)) * uint64(n)
+	if low := uint32(prod); low < uint32(n) {
+		thresh := uint32(-n) % uint32(n)
+		for low < thresh {
+			prod = uint64(uint32(r.Int63()>>31)) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int32(prod >> 32)
+}
 
 // Perm returns a random permutation of {0, ..., n-1}.
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int { return r.stdRand().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("invalid argument to Shuffle")
+	}
+	i := n - 1
+	for ; i > 1<<31-1-1; i-- {
+		swap(i, int(r.int63n(int64(i+1))))
+	}
+	for ; i > 0; i-- {
+		swap(i, int(r.lemire31n(int32(i+1))))
+	}
+}
+
+// stdRand returns a math/rand.Rand drawing from r's register, for the
+// methods not reimplemented here.
+func (r *RNG) stdRand() *rand.Rand {
+	if r.std == nil {
+		r.std = rand.New(stdSource{r})
+	}
+	return r.std
+}
+
+// stdSource exposes an RNG as a rand.Source.
+type stdSource struct{ r *RNG }
+
+func (s stdSource) Int63() int64 { return s.r.Int63() }
+
+func (s stdSource) Seed(int64) { panic("xrand: an RNG cannot be reseeded") }
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
@@ -88,7 +210,7 @@ func (r *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // Exponential returns a sample from the exponential distribution with the
@@ -99,7 +221,7 @@ func (r *RNG) Exponential(rate float64) float64 {
 		panic(fmt.Sprintf("xrand: non-positive exponential rate %v", rate))
 	}
 	// Inverse CDF on (0,1]; 1-Float64() avoids log(0).
-	return -math.Log(1-r.src.Float64()) / rate
+	return -math.Log(1-r.Float64()) / rate
 }
 
 // Poisson returns a sample from the Poisson distribution with the given
@@ -123,10 +245,10 @@ func (r *RNG) Poisson(mean float64) int {
 func (r *RNG) poissonKnuth(mean float64) int {
 	limit := math.Exp(-mean)
 	k := 0
-	p := r.src.Float64()
+	p := r.Float64()
 	for p > limit {
 		k++
-		p *= r.src.Float64()
+		p *= r.Float64()
 	}
 	return k
 }
@@ -140,8 +262,8 @@ func (r *RNG) poissonPTRS(mean float64) int {
 	invAlpha := 1.1239 + 1.1328/(b-3.4)
 	vr := 0.9277 - 3.6224/(b-2)
 	for {
-		u := r.src.Float64() - 0.5
-		v := r.src.Float64()
+		u := r.Float64() - 0.5
+		v := r.Float64()
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + mean + 0.43)
 		if us >= 0.07 && v <= vr {
@@ -164,21 +286,21 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	if xm <= 0 || alpha <= 0 {
 		panic(fmt.Sprintf("xrand: invalid Pareto parameters xm=%v alpha=%v", xm, alpha))
 	}
-	return xm / math.Pow(1-r.src.Float64(), 1/alpha)
+	return xm / math.Pow(1-r.Float64(), 1/alpha)
 }
 
 // LogNormal returns a sample of exp(N(mu, sigma^2)). Heterogeneous spending
 // rates in the asymmetric-utilization experiments are drawn from it.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
+	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
 // NormFloat64 returns a standard normal sample.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
+func (r *RNG) NormFloat64() float64 { return r.stdRand().NormFloat64() }
 
 // Uniform returns a uniform sample from [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
+	return lo + (hi-lo)*r.Float64()
 }
 
 // Binomial returns a sample from the Binomial(n, p) distribution — the
@@ -211,7 +333,7 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 	case n < 10:
 		var k int64
 		for i := int64(0); i < n; i++ {
-			if r.src.Float64() < p {
+			if r.Float64() < p {
 				k++
 			}
 		}
@@ -230,7 +352,7 @@ func (r *RNG) binomialInversion(n int64, p float64) int64 {
 	q := math.Log1p(-p)
 	var k, i int64
 	for {
-		g := math.Log(1-r.src.Float64()) / q
+		g := math.Log(1-r.Float64()) / q
 		if g >= float64(n-i) {
 			// The geometric skip clears the remaining trials. Checked on
 			// the float side: for tiny p the skip exceeds int64 range and
@@ -265,19 +387,19 @@ func (r *RNG) binomialBTRD(n int64, p float64) int64 {
 	urvr := 0.86 * vr
 
 	for {
-		v := r.src.Float64()
+		v := r.Float64()
 		var u float64
 		if v <= urvr {
 			// The dominating triangular region: accepted immediately.
 			u = v/vr - 0.43
-			return int64(math.Floor((2*a/(0.5-math.Abs(u)) + b)*u + c))
+			return int64(math.Floor((2*a/(0.5-math.Abs(u))+b)*u + c))
 		}
 		if v >= vr {
-			u = r.src.Float64() - 0.5
+			u = r.Float64() - 0.5
 		} else {
 			u = v/vr - 0.93
 			u = math.Copysign(0.5, u) - u
-			v = r.src.Float64() * vr
+			v = r.Float64() * vr
 		}
 		us := 0.5 - math.Abs(u)
 		kf := math.Floor((2*a/us+b)*u + c)
