@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"creditp2p/internal/core"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/queueing"
@@ -285,9 +284,8 @@ func BenchmarkStreamingSim(b *testing.B) {
 	}
 }
 
-// The Large benchmarks run 100k-peer populations on the scale engine:
-// CSR scale-free overlay, calendar-queue scheduler, incremental Gini
-// sampling. Memory stays O(N+E) and the per-event / per-chunk cost must
+// The Large benchmarks run 100k-peer populations on the CSR scale-free
+// overlay. Memory stays O(N+E) and the per-event / per-chunk cost must
 // stay within ~2x of the N=100 benchmarks above (BENCH_2.json records the
 // trajectory). The overlay is built once outside the timed loop, matching
 // the small benchmarks.
@@ -306,13 +304,11 @@ func BenchmarkMarketSimLarge(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         20,
-			Queue:           QueueCalendar,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       20,
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -341,16 +337,15 @@ func BenchmarkStreamingSimLarge(b *testing.B) {
 	var chunks uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     30,
-			InitialWealth:   12,
-			HorizonSeconds:  40,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    30,
+			InitialWealth:  12,
+			HorizonSeconds: 40,
+			Seed:           10,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -382,15 +377,13 @@ func benchWeightedMarket(b *testing.B, routing Routing, fast bool) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Routing:         routing,
-			FastSampling:    fast,
-			Horizon:         20,
-			Queue:           QueueCalendar,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Routing:       routing,
+			FastSampling:  fast,
+			Horizon:       20,
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -424,14 +417,12 @@ func benchDegreeChurnMarket(b *testing.B, fast bool) {
 		graph := g.Clone() // churn mutates the overlay
 		b.StartTimer()
 		res, err := RunMarket(MarketConfig{
-			Graph:           graph,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Routing:         RouteDegreeWeighted,
-			FastSampling:    fast,
-			Horizon:         20,
-			Queue:           QueueCalendar,
-			IncrementalGini: true,
+			Graph:         graph,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Routing:       RouteDegreeWeighted,
+			FastSampling:  fast,
+			Horizon:       20,
 			Churn: &ChurnConfig{
 				ArrivalRate:  200,
 				MeanLifespan: 50,
@@ -479,14 +470,12 @@ func BenchmarkMarketSimXLarge(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         5,
-			Queue:           QueueCalendar,
-			IncrementalGini: true,
-			FastSampling:    true, // inert for RouteUniform; pins the xlarge engine config
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       5,
+			FastSampling:  true, // inert for RouteUniform; pins the xlarge engine config
+			Seed:          8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -521,16 +510,15 @@ func BenchmarkStreamingSimXLarge(b *testing.B) {
 	var chunks uint64
 	for i := 0; i < b.N; i++ {
 		res, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     300,
-			InitialWealth:   12,
-			HorizonSeconds:  16,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    300,
+			InitialWealth:  12,
+			HorizonSeconds: 16,
+			Seed:           10,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -575,7 +563,6 @@ func benchShardMarket(b *testing.B, g *topology.Graph, peers, shards int, horizo
 			Horizon:       horizon,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Workload:      w,
 		})
 		if err != nil {
@@ -633,7 +620,6 @@ func benchShardMarketPolicy(b *testing.B, g *topology.Graph, peers, shards int, 
 			Horizon:       horizon,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Policies:      []policy.Policy{it, policy.NewRedistribute()},
 			PolicyEpoch:   horizon / 5,
 			Workload:      w,
@@ -724,7 +710,6 @@ func benchShardMarketRouted(b *testing.B, rc shard.RoutingConfig) {
 			Horizon:       5,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 			Routing:       rc,
 			Workload:      w,
@@ -784,7 +769,6 @@ func benchRoutingPick(b *testing.B, naive bool, pick func(degree int) bool) {
 		Horizon:       20,
 		Seed:          8,
 		InitialWealth: 20,
-		Queue:         des.Calendar,
 		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 		Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability, HeavyDegree: pickBenchHeavy, NaiveRescan: naive},
 		Workload:      w,
@@ -893,7 +877,6 @@ func benchShardCheckpoint(b *testing.B, pipelined, delta bool) {
 			Window:        1e-4,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Workload:      w,
 		})
 		if err != nil {

@@ -24,8 +24,7 @@
 //
 // Quick (default) runs scaled-down configurations in seconds; full runs
 // paper-scale parameters (N up to 1000 peers, 40 000 simulated seconds) and
-// can take minutes per figure; large runs 100k-peer populations on the
-// scale engine (calendar-queue scheduler, incremental Gini sampling).
+// can take minutes per figure; large runs 100k-peer populations.
 // Scenarios (flash-crowd, free-rider-mix, diurnal-churn, seeder-drain, ...)
 // compile a declared regime into a simulator configuration at the chosen
 // preset scale and print a summary report.

@@ -3,15 +3,13 @@ package des
 import (
 	"math"
 	"math/bits"
-
-	"creditp2p/internal/cacheline"
 )
 
 // calendarQueue is a bucketed timing wheel (a calendar queue in the sense
 // of Brown, CACM 1988) over the scheduler's (time, seq, slot) entries. For
 // the roughly stationary event-time distributions both simulators produce —
 // exponential inter-event gaps at an aggregate rate that changes slowly —
-// enqueue and dequeue are O(1) amortized, versus O(log n) for the heap.
+// enqueue and dequeue are O(1) amortized, versus O(log n) for a heap.
 //
 // Storage is allocation-free in steady state: entries live in per-slot
 // parallel arrays that grow in lockstep with the scheduler's slab, and each
@@ -25,22 +23,18 @@ import (
 // and served by cursor, amortizing the bucket walk and min-scan across the
 // day's whole batch. A rare push landing inside the day being drained is
 // spliced into the buffer at its sorted position, so the delivered order is
-// exactly the heap's (time, seq) order and simulation results are
-// byte-identical across queue kinds (Scheduler tests assert this). Bucket
-// membership is computed once per entry as an integer day number, never
-// re-derived from float arithmetic, so window qualification cannot drift
-// across laps.
+// exactly ascending (time, seq); the Scheduler tests check it against a
+// sorted oracle. Bucket membership is computed once per entry as an integer
+// day number, never re-derived from float arithmetic, so window
+// qualification cannot drift across laps.
 //
-// When the queue's density leaves the sweet spot the wheel is rebuilt:
-// capacity doubles (or halves) and the width is re-estimated from the
-// pending span. A full empty lap (possible when a few events sit far in the
-// future) falls back to a direct scan for the earliest day and jumps the
-// calendar to it.
+// The wheel is rebuilt when its density leaves the sweet spot — capacity
+// doubles or halves — and when its days stop fitting the front of the
+// queue: a drained day far past the target size, or a full lap without an
+// entry (a sparse queue, or a gap wider than the days expect). Each rebuild
+// re-estimates the width so that a day at the front holds a few entries,
+// and jumps the calendar to the earliest pending day.
 type calendarQueue struct {
-	// The pads keep the cursors every push and pop writes off any line
-	// another lane's queue writes (see cacheline).
-	_ cacheline.Pad
-
 	// Per-slot entry storage, parallel to the scheduler slab (index is
 	// slot-1). One struct per slot rather than parallel arrays: a push or
 	// drain touches a single cache line per entry instead of four, which
@@ -71,8 +65,19 @@ type calendarQueue struct {
 	drain    []calEntry
 	pos      int
 	drainDay int64
+	// warmPos is the drain index the scheduler's slab read-ahead has
+	// reached (a hint, like nwSlot below).
+	warmPos int
 	// scratch is the reusable retune gather buffer.
 	scratch []calEntry
+
+	// dayTarget is the front-day size the last retune aimed for. served
+	// counts pops since then, and wide marks a drained day far past the
+	// target: the next peek retunes, once served has paid for the
+	// rebuild.
+	dayTarget int
+	served    int
+	wide      bool
 
 	// nwSlot cursors a one-hop-per-pop pre-walk of the next day's bucket
 	// chain: drainDayInto's pointer chase is a serial cache-miss chain,
@@ -82,7 +87,6 @@ type calendarQueue struct {
 	// warms a harmless line.
 	nwSlot int32
 	warm   uint32
-	_      cacheline.Pad
 }
 
 // calEntry is one drained pending event.
@@ -117,6 +121,14 @@ const (
 	// being drained.
 	calTargetOccupancy = 4
 	calGrowOccupancy   = 8
+	// A retune sizes the front day to hold dayTarget entries, between
+	// calTargetOccupancy and calMaxDayTarget (see retune); a drained day
+	// past calWideFactor times the target marks the width stale.
+	calMaxDayTarget = 128
+	calWideFactor   = 16
+	// calFrontSample is how many of the earliest pending times a retune
+	// estimates the front density from.
+	calFrontSample = 32
 	// calMaxDay clamps day numbers for events absurdly far in the future
 	// (e.g. time/width overflowing int64). Clamping preserves the
 	// monotonicity of time -> day, which is all correctness needs; such
@@ -124,12 +136,13 @@ const (
 	calMaxDay = math.MaxInt64 / 4
 )
 
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		heads:    make([]int32, calMinBuckets),
-		mask:     calMinBuckets - 1,
-		width:    1,
-		invWidth: 1,
+func newCalendarQueue() calendarQueue {
+	return calendarQueue{
+		heads:     make([]int32, calMinBuckets),
+		mask:      calMinBuckets - 1,
+		dayTarget: calTargetOccupancy,
+		width:     1,
+		invWidth:  1,
 	}
 }
 
@@ -158,6 +171,16 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 		// The entry belongs to the day currently being served: splice it
 		// into the batch at its sorted position. Rare — a day is a sliver
 		// of the pending span — so the memmove amortizes to nothing.
+		if q.pos >= len(q.drain)-q.pos {
+			// The served prefix is at least as long as the remainder:
+			// reclaim it first, so a day that keeps taking splices holds
+			// about twice its unserved entries rather than every entry it
+			// ever served. The pops that built the prefix pay for the copy.
+			n := copy(q.drain, q.drain[q.pos:])
+			q.drain = q.drain[:n]
+			q.warmPos = max(q.warmPos-q.pos, 0)
+			q.pos = 0
+		}
 		lo, hi := q.pos, len(q.drain)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -189,13 +212,15 @@ func (q *calendarQueue) push(t float64, seq uint64, slot int32) {
 
 // peek locates the minimum (time, seq) entry without removing it, batching
 // its whole calendar day into the drain buffer on the way.
-func (q *calendarQueue) peek() (heapEntry, bool) {
+func (q *calendarQueue) peek() (calEntry, bool) {
 	if q.draining() {
-		e := q.drain[q.pos]
-		return heapEntry{time: e.time, seq: e.seq, slot: e.slot}, true
+		return q.drain[q.pos], true
 	}
 	if q.count == 0 {
-		return heapEntry{}, false
+		return calEntry{}, false
+	}
+	if q.wide {
+		q.retune()
 	}
 	// Scan one lap of the wheel from the current day forward and drain the
 	// first day that owns entries. Chains mix laps, so each is filtered by
@@ -204,30 +229,18 @@ func (q *calendarQueue) peek() (heapEntry, bool) {
 	for i := int64(0); i < nb; i++ {
 		day := q.curDay + i
 		if q.drainDayInto(day) {
-			return q.peekDrained()
+			return q.drain[0], true
 		}
 	}
-	// Sparse queue: nothing within a lap. Directly scan every chained entry
-	// for the earliest day and jump the calendar to it.
-	minDay := int64(calMaxDay)
-	for _, s := range q.heads {
-		for s != 0 {
-			sl := &q.slots[s-1]
-			if sl.day < minDay {
-				minDay = sl.day
-			}
-			s = sl.next
-		}
+	// A full lap without an entry: the days are too narrow for the gap
+	// ahead, or the queue is sparse. A retune costs about what the lap
+	// did, re-estimates the width from the new front, and moves the
+	// calendar to the earliest pending day.
+	q.retune()
+	if !q.drainDayInto(q.curDay) {
+		return calEntry{}, false // unreachable while count > 0
 	}
-	if !q.drainDayInto(minDay) {
-		return heapEntry{}, false // unreachable while count > 0
-	}
-	return q.peekDrained()
-}
-
-func (q *calendarQueue) peekDrained() (heapEntry, bool) {
-	e := q.drain[q.pos]
-	return heapEntry{time: e.time, seq: e.seq, slot: e.slot}, true
+	return q.drain[0], true
 }
 
 // drainDayInto unlinks every entry of the given absolute day into the drain
@@ -235,6 +248,7 @@ func (q *calendarQueue) peekDrained() (heapEntry, bool) {
 func (q *calendarQueue) drainDayInto(day int64) bool {
 	q.drain = q.drain[:0]
 	q.pos = 0
+	q.warmPos = 0
 	prev := int32(0) // 0 means "the bucket head"
 	b := day & q.mask
 	for s := q.heads[b]; s != 0; {
@@ -256,6 +270,9 @@ func (q *calendarQueue) drainDayInto(day int64) bool {
 		return false
 	}
 	q.sortDrain()
+	if len(q.drain) > calWideFactor*q.dayTarget && q.served >= q.count {
+		q.wide = true
+	}
 	q.curDay = day
 	q.drainDay = day
 	q.nwSlot = q.heads[(day+1)&q.mask]
@@ -391,13 +408,9 @@ func siftDrain(d []calEntry, root, end int) {
 	}
 }
 
-// removeHead deletes the entry located by the immediately preceding peek.
-func (q *calendarQueue) removeHead() {
-	if !q.draining() {
-		if _, ok := q.peek(); !ok {
-			return
-		}
-	}
+// pop deletes the entry located by the immediately preceding peek.
+func (q *calendarQueue) pop() {
+	q.served++
 	q.pos++
 	q.count--
 	if 4*q.count < len(q.heads) && len(q.heads) > calMinBuckets {
@@ -405,12 +418,27 @@ func (q *calendarQueue) removeHead() {
 	}
 }
 
-// retune rebuilds the wheel at the target occupancy with a width
-// re-estimated from the pending events' span (one lap of the wheel covers
-// roughly the full pending window), redistributing every entry — the drain
-// remainder included, since the new width redraws day boundaries.
-// Amortized over the pushes/pops that triggered it, this is O(1).
+// retune rebuilds the wheel at the target occupancy with a re-estimated
+// width, redistributing every entry — the drain remainder included, since
+// the new width redraws day boundaries. Amortized over the pushes/pops
+// that triggered it, this is O(1).
+//
+// The width is sized at the front of the queue, where every pop and every
+// push into the draining day lands: from the spacing of the earliest
+// pending times, so that a front day holds dayTarget entries. Sizing it
+// from the whole pending span instead lets a long tail (a departure far
+// ahead of a market's spends) stretch the front days to hundreds of
+// entries, each push into one paying a binary search and a memmove across
+// the batch. When every pending event re-arms itself on firing — the hold
+// model both simulators follow — a push lands in the draining day with
+// probability about dayTarget/count, so a target of count/64 keeps splices
+// near 1 in 64 pushes, while a large queue gets day batches long enough
+// for the slab read-ahead and the callers' UpcomingActor look-ahead to
+// overlap cache misses. The bounds keep small queues batching and cap the
+// per-day sort.
 func (q *calendarQueue) retune() {
+	q.served, q.wide = 0, false
+	q.dayTarget = min(max(q.count/64, calTargetOccupancy), calMaxDayTarget)
 	all := q.scratch[:0]
 	for _, s := range q.heads {
 		for s != 0 {
@@ -427,19 +455,32 @@ func (q *calendarQueue) retune() {
 	for calTargetOccupancy*buckets < len(all) {
 		buckets *= 2
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
+	// front holds the earliest finite pending times, ascending.
+	var buf [calFrontSample]float64
+	front := buf[:0]
 	for _, e := range all {
-		if e.time < lo {
-			lo = e.time
+		t := e.time
+		if math.IsInf(t, 1) {
+			continue
 		}
-		if e.time > hi && !math.IsInf(e.time, 1) {
-			hi = e.time
+		if len(front) == len(buf) {
+			if t >= front[len(front)-1] {
+				continue
+			}
+			front = front[:len(front)-1]
 		}
+		j := len(front)
+		front = append(front, t)
+		for j > 0 && front[j-1] > t {
+			front[j] = front[j-1]
+			j--
+		}
+		front[j] = t
 	}
-	if len(all) > 1 && hi > lo {
-		// Day width such that one lap (buckets * width) spans the pending
-		// window at the target occupancy.
-		q.width = (hi - lo) * float64(calTargetOccupancy) / float64(len(all))
+	// A front that is one tie says nothing about spacing: keep the old
+	// width, which the wide-day and empty-lap checks correct if it is off.
+	if n := len(front); n > 1 && front[n-1] > front[0] {
+		q.width = (front[n-1] - front[0]) * float64(q.dayTarget) / float64(n-1)
 	}
 	if !(q.width > 0) || math.IsInf(q.width, 1) {
 		q.width = 1
@@ -448,7 +489,10 @@ func (q *calendarQueue) retune() {
 	if !(q.invWidth > 0) || math.IsInf(q.invWidth, 1) {
 		q.width, q.invWidth = 1, 1
 	}
-	if buckets == len(q.heads) {
+	if buckets <= cap(q.heads) {
+		// Reslice rather than reallocate: a wheel that breathes between
+		// two sizes would otherwise allocate on every retune.
+		q.heads = q.heads[:buckets]
 		clear(q.heads)
 	} else {
 		q.heads = make([]int32, buckets)
@@ -456,9 +500,12 @@ func (q *calendarQueue) retune() {
 	q.mask = int64(buckets - 1)
 	minDay := int64(calMaxDay)
 	for _, e := range all {
+		// Write the full key: an entry push spliced into the drain was
+		// never written to its slot, which may still hold a previous
+		// occupant's time and seq.
 		sl := &q.slots[e.slot-1]
 		day := q.dayOf(e.time)
-		sl.day = day
+		sl.time, sl.seq, sl.day = e.time, e.seq, day
 		if day < minDay {
 			minDay = day
 		}

@@ -1,67 +1,137 @@
 package des
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"creditp2p/internal/xrand"
 )
 
-// runBoth drives a heap scheduler and a calendar scheduler through the same
-// scripted workload and asserts they deliver the byte-identical event
-// sequence. The script is driven by a shared seed so schedule times, cancel
-// choices and horizon advances coincide exactly.
-func runBoth(t *testing.T, seed int64, rounds, batch int, spread float64, cancelFrac float64) {
+// oracleEntry is one pending event in the reference model: a plain list
+// that delivers by a full sort on (time, seq).
+type oracleEntry struct {
+	time float64
+	seq  int
+	ev   Event
+}
+
+// oracle is the reference pending set runOracle checks the calendar
+// against.
+type oracle struct {
+	pending []oracleEntry
+}
+
+// runUntil removes and returns, in (time, seq) order, every pending entry
+// with time <= horizon.
+func (o *oracle) runUntil(horizon float64) []Event {
+	sort.Slice(o.pending, func(i, j int) bool {
+		a, b := o.pending[i], o.pending[j]
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		return a.seq < b.seq
+	})
+	n := 0
+	for n < len(o.pending) && o.pending[n].time <= horizon {
+		n++
+	}
+	out := make([]Event, n)
+	for i, e := range o.pending[:n] {
+		out[i] = e.ev
+	}
+	o.pending = o.pending[n:]
+	return out
+}
+
+// cancel drops the entry scheduled under seq, if still pending.
+func (o *oracle) cancel(seq int) {
+	for i, e := range o.pending {
+		if e.seq == seq {
+			o.pending = append(o.pending[:i], o.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// runOracle drives a scheduler through a seeded script of schedules,
+// cancellations and horizon advances, and asserts it delivers exactly the
+// sorted (time, seq) oracle's sequence — heap order, the reference the
+// calendar was first checked against. Events are scheduled both far
+// ahead (spread) and close to now, so pushes regularly land in the day the
+// calendar is draining, and the pending count swings enough to retune the
+// wheel between those splices and their delivery. A positive grid rounds
+// every delay down to a multiple of it, forcing ties.
+func runOracle(t *testing.T, seed int64, rounds, batch int, spread, grid, cancelFrac float64) {
 	t.Helper()
-	type delivered struct {
-		time    float64
-		kind    uint16
-		actor   int32
-		payload int64
-	}
-	script := func(s *Scheduler, r *xrand.RNG) []delivered {
-		var out []delivered
-		var handles []Handle
-		for round := 0; round < rounds; round++ {
-			for i := 0; i < batch; i++ {
-				h, err := s.Schedule(r.Float64()*spread, uint16(round%7), int32(i), int64(round*batch+i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				handles = append(handles, h)
-			}
-			nCancel := int(float64(len(handles)) * cancelFrac)
-			for i := 0; i < nCancel; i++ {
-				s.Cancel(handles[r.Intn(len(handles))])
-			}
-			s.RunUntil(s.Now()+spread/3, func(ev Event) {
-				out = append(out, delivered{ev.Time, ev.Kind, ev.Actor, ev.Payload})
-			})
+	r := xrand.New(seed)
+	s := NewScheduler()
+	o := &oracle{}
+	var handles []Handle
+	var seqs []int
+	seq := 0
+	check := func(got, want []Event) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: delivered %d events, oracle %d", seed, len(got), len(want))
 		}
-		s.Drain(func(ev Event) {
-			out = append(out, delivered{ev.Time, ev.Kind, ev.Actor, ev.Payload})
-		})
-		return out
-	}
-	a := script(NewSchedulerKind(Heap), xrand.New(seed))
-	b := script(NewSchedulerKind(Calendar), xrand.New(seed))
-	if len(a) != len(b) {
-		t.Fatalf("delivered %d events on heap vs %d on calendar", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: heap %+v vs calendar %+v", i, a[i], b[i])
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d is %+v, oracle %+v", seed, i, got[i], want[i])
+			}
 		}
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < batch; i++ {
+			d := r.Float64() * spread
+			if r.Float64() < 0.3 {
+				d *= 1e-3 // near now: likely inside the draining day
+			}
+			if grid > 0 {
+				d = math.Floor(d/grid) * grid
+			}
+			at := s.Now() + d
+			ev := Event{Time: at, Kind: uint16(round % 7), Actor: int32(i), Payload: int64(seq)}
+			h, err := s.ScheduleAt(at, ev.Kind, ev.Actor, ev.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.pending = append(o.pending, oracleEntry{time: at, seq: seq, ev: ev})
+			handles = append(handles, h)
+			seqs = append(seqs, seq)
+			seq++
+		}
+		nCancel := int(float64(len(handles)) * cancelFrac)
+		for i := 0; i < nCancel; i++ {
+			k := r.Intn(len(handles))
+			if s.Cancel(handles[k]) {
+				o.cancel(seqs[k])
+			}
+		}
+		horizon := s.Now() + spread/3
+		var got []Event
+		s.RunUntil(horizon, func(ev Event) { got = append(got, ev) })
+		check(got, o.runUntil(horizon))
+	}
+	var got []Event
+	s.Drain(func(ev Event) { got = append(got, ev) })
+	check(got, o.runUntil(math.Inf(1)))
+	if err := s.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCalendarMatchesHeap(t *testing.T) {
 	// Dense queue with churn and cancellations across many resizes.
-	runBoth(t, 1, 60, 40, 10, 0.2)
-	// Sparse far-apart events: exercises the direct-scan fallback.
-	runBoth(t, 2, 20, 2, 1e6, 0.1)
-	// Heavy ties: coarse times force (time, seq) tie-breaking.
-	runBoth(t, 3, 30, 30, 4, 0)
+	runOracle(t, 1, 60, 40, 10, 0, 0.2)
+	// Sparse far-apart events: exercises the empty-lap retune.
+	runOracle(t, 2, 20, 2, 1e6, 0, 0.1)
+	// Heavy ties: a coarse time grid forces (time, seq) tie-breaking.
+	runOracle(t, 3, 30, 30, 4, 1, 0)
+	// A growing queue: retunes land between splices into the draining day
+	// and their delivery.
+	runOracle(t, 10, 40, 100, 10, 0, 0.3)
 }
 
 func TestCalendarMatchesHeapProperty(t *testing.T) {
@@ -74,17 +144,92 @@ func TestCalendarMatchesHeapProperty(t *testing.T) {
 					ok = false
 				}
 			}()
-			runBoth(t, seed, 15, batch, 50, 0.15)
+			runOracle(t, seed, 15, batch, 50, 0, 0.15)
 		}()
-		return ok
+		return ok && !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestCalendarRetuneKeepsSplicedKeys is the regression test for retune
+// re-chaining the drain remainder without its keys: an entry spliced into
+// the draining day is never written to its slot, so a retune before it is
+// served must copy its time and seq there, or it surfaces with the slot's
+// previous occupant's key.
+func TestCalendarRetuneKeepsSplicedKeys(t *testing.T) {
+	s := NewScheduler()
+	var want []float64
+	for i := 0; i < 100; i++ { // one day at the initial unit width
+		at := 10 + float64(i)*1e-3
+		if _, err := s.ScheduleAt(at, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, at)
+	}
+	var got []float64
+	rec := func(ev Event) { got = append(got, ev.Time) }
+	s.Step(rec) // drains day 10 and frees slot 1, still holding time 10
+	if !s.cal.draining() {
+		t.Fatal("day 10 is not draining")
+	}
+	// Reuses slot 1 and splices into the draining day.
+	if _, err := s.ScheduleAt(10.0505, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, 10.0505)
+	// Far-future events push the count past the grow threshold.
+	for i := 0; i < 40; i++ {
+		at := 1000 + float64(i)
+		if _, err := s.ScheduleAt(at, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, at)
+	}
+	if len(s.cal.heads) == calMinBuckets {
+		t.Fatal("the wheel did not retune")
+	}
+	s.Drain(rec)
+	sort.Float64s(want)
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired at %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCalendarDrainBoundedUnderSplices pins drain compaction: a day that
+// takes a splice for every event it serves must reclaim its served prefix
+// instead of growing the buffer by one entry per event.
+func TestCalendarDrainBoundedUnderSplices(t *testing.T) {
+	s := NewScheduler()
+	for i := 0; i < 10; i++ {
+		if _, err := s.ScheduleAt(0.5, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nop := func(Event) {}
+	for i := 0; i < 100_000; i++ {
+		s.Step(nop)
+		// At now, so it joins the draining day behind the queued ties.
+		if _, err := s.ScheduleAt(s.Now(), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cap(s.cal.drain); got > 64 {
+		t.Errorf("drain buffer capacity %d after 100k same-day splices, want <= 64", got)
+	}
+	if n := s.Drain(nop); n != 10 {
+		t.Errorf("drained %d events, want 10", n)
+	}
+}
+
 func TestCalendarTiesFIFO(t *testing.T) {
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	for i := 0; i < 100; i++ {
 		if _, err := s.ScheduleAt(5, 0, int32(i), 0); err != nil {
 			t.Fatal(err)
@@ -105,7 +250,7 @@ func TestCalendarTiesFIFO(t *testing.T) {
 func TestCalendarScheduleBehindScanPosition(t *testing.T) {
 	// A far-future event advances the calendar's scan day; an event then
 	// scheduled much earlier (but after now) must still fire first.
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	if _, err := s.ScheduleAt(1e6, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +267,37 @@ func TestCalendarScheduleBehindScanPosition(t *testing.T) {
 	}
 }
 
+// TestCalendarRetunesWideDays pins the front-density width: a queue that
+// never crosses a resize trigger (100 pending, below the 128-entry grow
+// threshold) must still leave the initial unit width, which at this event
+// rate packs about 60 entries into every drained day, and settle where a
+// day holds a handful.
+func TestCalendarRetunesWideDays(t *testing.T) {
+	s := NewScheduler()
+	r := xrand.New(6)
+	for i := 0; i < 100; i++ {
+		if _, err := s.Schedule(r.Exponential(1), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The hold model: every fired event re-arms one at Exp(1) ahead.
+	rearm := func(Event) {
+		if _, err := s.Schedule(r.Exponential(1), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		s.Step(rearm)
+	}
+	// 100 pending at rate 1 each: 100 events per unit of time at the
+	// front, so a four-entry day is about 0.04 wide.
+	if s.cal.width > 0.25 {
+		t.Errorf("day width %v after 5000 events, want a front day of a few entries (about 0.04)", s.cal.width)
+	}
+}
+
 func TestCalendarShrinksAfterDrain(t *testing.T) {
-	s := NewSchedulerKind(Calendar)
+	s := NewScheduler()
 	r := xrand.New(4)
 	for i := 0; i < 4096; i++ {
 		if _, err := s.Schedule(r.Float64()*100, 0, 0, 0); err != nil {
@@ -143,27 +317,10 @@ func TestCalendarShrinksAfterDrain(t *testing.T) {
 	}
 }
 
-func BenchmarkCalendarScheduleAndFire(b *testing.B) {
-	s := NewSchedulerKind(Calendar)
-	r := xrand.New(1)
-	nop := func(Event) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(r.Float64(), 0, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 {
-			s.Drain(nop)
-		}
-	}
-	s.Drain(nop)
-}
-
-// BenchmarkQueueLargePending compares the two queue kinds at a large
-// steady pending set (the million-peer regime: one armed spend per peer).
-func benchLargePending(b *testing.B, kind QueueKind, pending int) {
-	s := NewSchedulerKind(kind)
+// benchLargePending measures the hold model at a large steady pending set
+// (the million-peer regime: one armed spend per peer).
+func benchLargePending(b *testing.B, pending int) {
+	s := NewScheduler()
 	r := xrand.New(2)
 	for i := 0; i < pending; i++ {
 		if _, err := s.Schedule(1+r.Float64(), 0, 0, 0); err != nil {
@@ -182,7 +339,5 @@ func benchLargePending(b *testing.B, kind QueueKind, pending int) {
 	}
 }
 
-func BenchmarkHeapPending100k(b *testing.B)     { benchLargePending(b, Heap, 100_000) }
-func BenchmarkCalendarPending100k(b *testing.B) { benchLargePending(b, Calendar, 100_000) }
-func BenchmarkHeapPending1M(b *testing.B)       { benchLargePending(b, Heap, 1_000_000) }
-func BenchmarkCalendarPending1M(b *testing.B)   { benchLargePending(b, Calendar, 1_000_000) }
+func BenchmarkCalendarPending100k(b *testing.B) { benchLargePending(b, 100_000) }
+func BenchmarkCalendarPending1M(b *testing.B)   { benchLargePending(b, 1_000_000) }

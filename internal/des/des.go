@@ -5,12 +5,11 @@
 //
 // The kernel is built for throughput: events are plain values (a kind tag,
 // an actor index, and one payload word) held in a slab that is recycled
-// through a free list, and ordered by one of two interchangeable queues —
-// a 4-ary heap of slab slots (O(log n), the default) or a bucketed
-// calendar queue (O(1) amortized, for million-peer pending sets); both
-// deliver the exact same (time, seq) order, so outputs are bit-identical
-// across them. In steady state — events scheduled and fired at a matched
-// rate — the scheduler performs zero heap allocations per event.
+// through a free list, and ordered by a bucketed calendar queue (O(1)
+// amortized per event) that delivers them in exact ascending (time, seq)
+// order, seq being the scheduling order. In steady state — events
+// scheduled and fired at a matched rate — the scheduler performs zero heap
+// allocations per event.
 // Cancellation is O(1) through generation-counted handles; cancelled
 // events are discarded lazily when they surface at the head of the queue.
 package des
@@ -64,7 +63,7 @@ func (h Handle) Valid() bool { return h.slot != 0 }
 const (
 	slotFree uint8 = iota
 	slotLive
-	slotDead // cancelled but still buried in the heap
+	slotDead // cancelled but still queued
 )
 
 // node is one slab entry: the event value plus queue bookkeeping.
@@ -76,38 +75,6 @@ type node struct {
 	kind    uint16
 	state   uint8
 }
-
-// heapEntry carries the ordering key alongside the slot so that heap
-// comparisons read contiguous heap memory instead of chasing into the slab.
-type heapEntry struct {
-	time float64
-	seq  uint64 // FIFO tie-break for simultaneous events
-	slot int32
-}
-
-func (a heapEntry) before(b heapEntry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
-}
-
-// QueueKind selects the pending-event ordering structure of a Scheduler.
-// Both kinds deliver the exact same (time, seq) order, so a simulation's
-// outputs are bit-identical across them; they differ only in cost model.
-type QueueKind int
-
-const (
-	// Heap is the 4-ary min-heap: O(log n) per operation. The default.
-	// It is no faster than Calendar even at the paper's 50–400 peers
-	// (DESIGN.md, "Calendar-queue scheduler").
-	Heap QueueKind = iota
-	// Calendar is the bucketed calendar queue: O(1) amortized per
-	// operation for the roughly stationary event-time distributions the
-	// simulators produce. Prefer it when the pending set is large
-	// (hundreds of thousands of armed events).
-	Calendar
-)
 
 // slab dirty-segment granularity: slabSegSize slots per segment. A
 // segment's per-field spans total ~18 KB — coarse enough that per-segment
@@ -123,17 +90,17 @@ const (
 // Scheduler owns virtual time and the pending event set. It is not safe for
 // concurrent use; a simulation is a single-goroutine loop.
 type Scheduler struct {
-	// The pads keep the cursors and counters every event writes off any
-	// line another lane's scheduler writes (see cacheline).
+	// The pads keep the cursors and counters every event writes, the
+	// calendar's included, off any line another lane's scheduler writes
+	// (see cacheline).
 	_       cacheline.Pad
 	now     float64
 	seq     uint64
 	slab    []node
-	seqOf   []uint64       // per-slot seq of the occupying entry (slab-parallel)
-	free    []int32        // recycled slab slots
-	heap    []heapEntry    // 4-ary min-heap keyed by (time, seq)
-	cal     *calendarQueue // calendar queue; nil means the heap is active
-	live    int            // scheduled and not cancelled
+	seqOf   []uint64      // per-slot seq of the occupying entry (slab-parallel)
+	free    []int32       // recycled slab slots
+	cal     calendarQueue // pending entries keyed by (time, seq)
+	live    int           // scheduled and not cancelled
 	fired   uint64
 	dropped uint64
 	// dirty tracks slab segments touched since the last state capture —
@@ -142,26 +109,14 @@ type Scheduler struct {
 	// enc is the recycled per-field extraction scratch for state captures.
 	enc *encScratch
 	// warm sinks the read-ahead loads in pop so the compiler cannot drop
-	// them; the value itself is meaningless and never read. warmPos is
-	// the drain-batch index slab warming has reached.
-	warm    uint32
-	warmPos int
-	_       cacheline.Pad
+	// them; the value itself is meaningless and never read.
+	warm uint32
+	_    cacheline.Pad
 }
 
-// NewScheduler returns a heap-ordered scheduler at time 0 with no pending
-// events.
+// NewScheduler returns a scheduler at time 0 with no pending events.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
-}
-
-// NewSchedulerKind returns a scheduler using the given event-queue kind.
-func NewSchedulerKind(k QueueKind) *Scheduler {
-	s := &Scheduler{}
-	if k == Calendar {
-		s.cal = newCalendarQueue()
-	}
-	return s
+	return &Scheduler{cal: newCalendarQueue()}
 }
 
 // Now returns the current virtual time.
@@ -199,12 +154,7 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 	nd.state = slotLive
 	s.seqOf[slot-1] = s.seq
 	s.markSlot(slot)
-	if s.cal != nil {
-		s.cal.push(t, s.seq, slot)
-	} else {
-		s.heap = append(s.heap, heapEntry{time: t, seq: s.seq, slot: slot})
-		s.up(len(s.heap) - 1)
-	}
+	s.cal.push(t, s.seq, slot)
 	s.seq++
 	s.live++
 	return Handle{slot: slot, gen: nd.gen}, nil
@@ -307,55 +257,42 @@ func (s *Scheduler) Drain(deliver func(Event)) uint64 {
 
 // pop removes and returns the earliest live event with time <= horizon,
 // advancing virtual time to it. Dead (cancelled) slots encountered at the
-// head are freed and skipped. The delivery order — exact (time, seq) — is
-// identical for both queue kinds.
+// head are freed and skipped. The delivery order is exact (time, seq).
 func (s *Scheduler) pop(horizon float64) (Event, bool) {
+	q := &s.cal
 	for {
-		var head heapEntry
-		if s.cal != nil {
-			q := s.cal
-			if !q.draining() {
-				var ok bool
-				if head, ok = q.peek(); !ok {
-					return Event{}, false
-				}
-				s.warmPos = 0
-			} else {
-				e := q.drain[q.pos]
-				head = heapEntry{time: e.time, seq: e.seq, slot: e.slot}
-			}
-			if s.warmPos < len(q.drain) && q.pos+32 > s.warmPos {
-				// The drain batch's serve order is known ahead of time, so
-				// touch the slab nodes it will visit, staying a chunk in
-				// front of the cursor: at large populations each pop's slab
-				// access is a cache miss, and issuing the batch's loads
-				// together overlaps them instead of paying one serialized
-				// miss per event. (Exponential pending-time distributions
-				// make the front days dense, so batches can run to
-				// hundreds of entries — warming in chunks keeps the
-				// touched window inside L1 instead of thrashing it.)
-				d := q.drain
-				lim := q.pos + 96
-				if lim > len(d) {
-					lim = len(d)
-				}
-				var warm uint32
-				for i := s.warmPos; i < lim; i++ {
-					warm += uint32(s.slab[d[i].slot-1].gen)
-				}
-				s.warm = warm
-				s.warmPos = lim
-			}
-			q.prewalkStep()
+		var head calEntry
+		if q.draining() {
+			head = q.drain[q.pos]
 		} else {
-			if len(s.heap) == 0 {
+			var ok bool
+			if head, ok = q.peek(); !ok {
 				return Event{}, false
 			}
-			head = s.heap[0]
 		}
+		if q.warmPos < len(q.drain) && q.pos+32 > q.warmPos {
+			// The drain batch's serve order is known ahead of time, so
+			// touch the slab nodes it will visit, staying a chunk in
+			// front of the cursor: at large populations each pop's slab
+			// access is a cache miss, and issuing the batch's loads
+			// together overlaps them instead of paying one serialized
+			// miss per event. (Exponential pending-time distributions
+			// make the front days dense, so batches can run to hundreds
+			// of entries — warming in chunks keeps the touched window
+			// inside L1 instead of thrashing it.)
+			d := q.drain
+			lim := min(q.pos+96, len(d))
+			var warm uint32
+			for i := q.warmPos; i < lim; i++ {
+				warm += uint32(s.slab[d[i].slot-1].gen)
+			}
+			s.warm = warm
+			q.warmPos = lim
+		}
+		q.prewalkStep()
 		nd := &s.slab[head.slot-1]
 		if nd.state == slotDead {
-			s.qRemoveHead()
+			q.pop()
 			s.recycle(head.slot)
 			s.dropped++
 			continue
@@ -364,7 +301,7 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 			return Event{}, false
 		}
 		ev := Event{Time: head.time, Kind: nd.kind, Actor: nd.actor, Payload: nd.payload}
-		s.qRemoveHead()
+		q.pop()
 		s.recycle(head.slot)
 		s.live--
 		s.now = ev.Time
@@ -373,29 +310,16 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 }
 
 // UpcomingActor returns the actor of the k-th event after the current
-// queue head when the active backend can see it cheaply — the calendar's
-// sorted drain batch. ok is false otherwise (heap backend, or fewer than
-// k+1 entries left in the batch). It is a prefetch hint for callers that
-// want to warm per-actor state ahead of delivery: the result may include
-// cancelled events and never affects what pop returns.
+// queue head when the calendar's sorted drain batch holds it. ok is false
+// when fewer than k+1 entries are left in the batch. It is a prefetch hint
+// for callers that want to warm per-actor state ahead of delivery: the
+// result may include cancelled events and never affects what pop returns.
 func (s *Scheduler) UpcomingActor(k int) (int32, bool) {
-	if s.cal == nil {
-		return 0, false
-	}
 	i := s.cal.pos + k
 	if i >= len(s.cal.drain) {
 		return 0, false
 	}
 	return s.slab[s.cal.drain[i].slot-1].actor, true
-}
-
-// qRemoveHead deletes the queue minimum from whichever backend is active.
-func (s *Scheduler) qRemoveHead() {
-	if s.cal != nil {
-		s.cal.removeHead()
-		return
-	}
-	s.removeHead()
 }
 
 // recycle returns a slot to the free list, invalidating outstanding handles.
@@ -409,57 +333,3 @@ func (s *Scheduler) recycle(slot int32) {
 
 // markSlot flags the slab segment holding slot dirty.
 func (s *Scheduler) markSlot(slot int32) { s.dirty.Mark(int(slot-1) >> slabSegShift) }
-
-// --- 4-ary heap of (time, seq, slot) entries ---
-
-func (s *Scheduler) up(i int) {
-	h := s.heap
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !e.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-func (s *Scheduler) removeHead() {
-	h := s.heap
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	if n > 1 {
-		s.down(0)
-	}
-}
-
-func (s *Scheduler) down(i int) {
-	h := s.heap
-	n := len(h)
-	e := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h[c].before(h[best]) {
-				best = c
-			}
-		}
-		if !h[best].before(e) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = e
-}

@@ -72,7 +72,7 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 
 // SaveState serializes the scheduler: virtual time, counters, the full slab
 // (per-field plus each slot's seq, so the layout on disk is independent of
-// struct packing and of the active queue backend), and the free list. The
+// struct packing and of the calendar's layout), and the free list. The
 // pending multiset is NOT stored: it is exactly the non-free slots, ordered
 // by their seq — restore derives it, moving the sort from every checkpoint
 // to the rare restore. Cancelled-but-unpopped entries are included via
@@ -133,7 +133,7 @@ func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
 }
 
 // ApplyDelta patches a delta serialized by SaveDelta into the receiver,
-// which must already hold the chain's preceding state. The queue backend is
+// which must already hold the chain's preceding state. The queue is
 // NOT rebuilt — apply every delta in the chain, then call RebuildQueue
 // once. Chain-order integrity (base id, link index, predecessor CRC) is the
 // caller's concern via snapshot.ValidateChain.
@@ -217,7 +217,7 @@ func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
 
 // pendingFromSlab derives the queued multiset — every non-free slot,
 // ascending by seq — from the slab states. seq values are unique, so the
-// order is total and backend-independent.
+// order is total.
 func (s *Scheduler) pendingFromSlab() ([]uint64, []int32) {
 	type pair struct {
 		seq  uint64
@@ -244,35 +244,25 @@ func (s *Scheduler) pendingFromSlab() ([]uint64, []int32) {
 	return seqs, slots
 }
 
-// RebuildQueue reconstructs the active backend's pending set from the slab
-// — the epilogue of a state or chain restore. Both backends deliver the
-// exact (time, seq) order, so resumed runs are byte-identical regardless of
-// which backend wrote the snapshot.
+// RebuildQueue reconstructs the calendar's pending set from the slab — the
+// epilogue of a state or chain restore. Delivery is exact (time, seq)
+// order, so a resumed run is byte-identical to the uninterrupted one.
 func (s *Scheduler) RebuildQueue() {
 	seqs, slots := s.pendingFromSlab()
-	if s.cal != nil {
-		q := newCalendarQueue()
-		// Pre-grow the per-slot entry storage: push assumes slots are
-		// handed out in slab order, which does not hold when rebuilding an
-		// arbitrary pending set.
-		q.slots = make([]calSlot, len(s.slab))
-		s.cal = q
-		for i, sl := range slots {
-			q.push(s.slab[sl-1].time, seqs[i], sl)
-		}
-	} else {
-		s.heap = make([]heapEntry, 0, len(slots))
-		for i, sl := range slots {
-			s.heap = append(s.heap, heapEntry{time: s.slab[sl-1].time, seq: seqs[i], slot: sl})
-			s.up(len(s.heap) - 1)
-		}
+	s.cal = newCalendarQueue()
+	q := &s.cal
+	// Pre-grow the per-slot entry storage: push assumes slots are handed
+	// out in slab order, which does not hold when rebuilding an arbitrary
+	// pending set.
+	q.slots = make([]calSlot, len(s.slab))
+	for i, sl := range slots {
+		q.push(s.slab[sl-1].time, seqs[i], sl)
 	}
-	s.warmPos = 0
 }
 
-// LoadState restores a scheduler serialized by SaveState into the receiver,
-// which keeps its own queue backend: the pending set is derived from the
-// slot states and rebuilt into either backend.
+// LoadState restores a scheduler serialized by SaveState into the
+// receiver: the pending set is derived from the slot states and rebuilt
+// into the calendar.
 func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 	r.Section("sched")
 	now := r.F64()
@@ -378,23 +368,15 @@ func (s *Scheduler) checkQueueSeqs() error {
 		}
 		return nil
 	}
-	if s.cal != nil {
-		q := s.cal
-		for _, head := range q.heads {
-			for sl := head; sl != 0; sl = q.slots[sl-1].next {
-				if err := check(q.slots[sl-1].seq, sl); err != nil {
-					return err
-				}
-			}
-		}
-		for _, e := range q.drain[q.pos:] {
-			if err := check(e.seq, e.slot); err != nil {
+	q := &s.cal
+	for _, head := range q.heads {
+		for sl := head; sl != 0; sl = q.slots[sl-1].next {
+			if err := check(q.slots[sl-1].seq, sl); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	for _, e := range s.heap {
+	for _, e := range q.drain[q.pos:] {
 		if err := check(e.seq, e.slot); err != nil {
 			return err
 		}

@@ -30,9 +30,6 @@ func init() {
 
 type fig1Scale struct {
 	n, horizon int
-	// incGini selects the incremental wealth-Gini sampler (the Large
-	// preset's scale engine); outputs are byte-identical either way.
-	incGini bool
 }
 
 func fig1ScaleOf(p Preset) fig1Scale {
@@ -40,9 +37,9 @@ func fig1ScaleOf(p Preset) fig1Scale {
 	case Full:
 		return fig1Scale{n: 500, horizon: 20000}
 	case Large:
-		return fig1Scale{n: 100_000, horizon: 400, incGini: true}
+		return fig1Scale{n: 100_000, horizon: 400}
 	case XLarge:
-		return fig1Scale{n: 1_000_000, horizon: 60, incGini: true}
+		return fig1Scale{n: 1_000_000, horizon: 60}
 	default:
 		return fig1Scale{n: 200, horizon: 1500}
 	}
@@ -56,17 +53,16 @@ func fig1Overlay(n int, seed int64) (*topology.Graph, error) {
 
 func fig1Config(g *topology.Graph, wealth int64, pricing credit.Pricing, s fig1Scale) streaming.Config {
 	return streaming.Config{
-		Graph:           g,
-		StreamRate:      1,
-		DelaySeconds:    15,
-		UploadCap:       1,
-		DownloadCap:     2,
-		SourceSeeds:     3,
-		InitialWealth:   wealth,
-		Pricing:         pricing,
-		HorizonSeconds:  s.horizon,
-		Seed:            9,
-		IncrementalGini: s.incGini,
+		Graph:          g,
+		StreamRate:     1,
+		DelaySeconds:   15,
+		UploadCap:      1,
+		DownloadCap:    2,
+		SourceSeeds:    3,
+		InitialWealth:  wealth,
+		Pricing:        pricing,
+		HorizonSeconds: s.horizon,
+		Seed:           9,
 	}
 }
 

@@ -3,7 +3,7 @@
 // injecting seed-driven faults through the kernel's sim.FaultInjector hooks
 // — probabilistic transfer failures and workload-event drops — and
 // periodically audits the run's invariants (credit conservation, scheduler
-// and peer-table slab integrity, incremental-vs-exact Gini agreement).
+// and peer-table slab integrity, histogram-vs-exact Gini agreement).
 // Failures surface as structured diagnostics and one aggregate error, never
 // a panic: even a panicking workload is caught and reported.
 //

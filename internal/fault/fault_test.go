@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/fault"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
@@ -44,7 +43,7 @@ func demurrage(t testing.TB) *policy.Demurrage {
 }
 
 // marketCombos spans the market mechanism space: routing modes, churn,
-// taxation, both queue backends, both sampling modes, and the policy engine.
+// taxation, both sampling modes, and the policy engine.
 func marketCombos(t testing.TB) map[string]func() market.Config {
 	churn := &market.ChurnConfig{ArrivalRate: 0.5, MeanLifespan: 120, AttachDegree: 4, FastAttach: true}
 	return map[string]func() market.Config{
@@ -54,9 +53,12 @@ func marketCombos(t testing.TB) map[string]func() market.Config {
 		"tax+churn": func() market.Config {
 			return market.Config{Graph: graph(t, 60, 6, 3), InitialWealth: 20, DefaultMu: 1, Horizon: 200, Tax: taxPolicy(t), Churn: churn, Seed: 4}
 		},
+		// The name predates the single engine: every combo now runs on the
+		// calendar queue and the histogram Gini; this one adds fast
+		// sampling and fast-attach churn.
 		"calendar+incgini+fast": func() market.Config {
 			return market.Config{Graph: graph(t, 80, 6, 5), InitialWealth: 15, DefaultMu: 1, Horizon: 200,
-				Queue: des.Calendar, IncrementalGini: true, FastSampling: true, Churn: churn, Seed: 6}
+				FastSampling: true, Churn: churn, Seed: 6}
 		},
 		"policies": func() market.Config {
 			return market.Config{Graph: graph(t, 60, 6, 7), InitialWealth: 20, DefaultMu: 1, Horizon: 200,

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"creditp2p/internal/credit"
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
@@ -47,12 +46,11 @@ const (
 	ScaleQuick Scale = iota + 1
 	// ScaleFull runs the scenario as declared.
 	ScaleFull
-	// ScaleLarge rescales to a 100k-peer population on the scale engine
-	// (calendar-queue scheduler, incremental Gini sampling).
+	// ScaleLarge rescales to a 100k-peer population.
 	ScaleLarge
-	// ScaleXLarge rescales to a million-peer population on the scale
-	// engine plus the Fenwick fast-sampling routing mode. Expect a few GB
-	// of RSS and tens of seconds per run.
+	// ScaleXLarge rescales to a million-peer population on the Fenwick
+	// fast-sampling routing mode. Expect a few GB of RSS and tens of
+	// seconds per run.
 	ScaleXLarge
 )
 
@@ -305,9 +303,9 @@ type Market struct {
 // Streaming declares the streaming-workload knobs. SourceSeeds is at the
 // declared Topology.N and scales with the population.
 type Streaming struct {
-	StreamRate, DelaySeconds       int
-	UploadCap, DownloadCap         int
-	SourceSeeds                    int
+	StreamRate, DelaySeconds int
+	UploadCap, DownloadCap   int
+	SourceSeeds              int
 	// SeederFrac makes that fraction of peers seeders with
 	// SeederUploadCap upload slots (the swarm's chunk supply backbone).
 	SeederFrac      float64
@@ -351,8 +349,6 @@ type dims struct {
 	// popFactor is n/sc.Topology.N — population-linear declared
 	// quantities (arrival rates, source seeds) scale by it.
 	popFactor    float64
-	queue        des.QueueKind
-	incGini      bool
 	fastSampling bool
 }
 
@@ -382,8 +378,6 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 				d.horizon = 20
 			}
 		}
-		d.queue = des.Calendar
-		d.incGini = true
 	case ScaleXLarge:
 		d.n = xlargeN
 		d.horizon = sc.XLargeHorizon
@@ -394,8 +388,6 @@ func (sc *Scenario) dims(scale Scale) (dims, error) {
 				d.horizon = 8
 			}
 		}
-		d.queue = des.Calendar
-		d.incGini = true
 		d.fastSampling = true
 	default:
 		return dims{}, fmt.Errorf("%w: scale %d", ErrBadScenario, int(scale))
@@ -496,16 +488,14 @@ func (sc Scenario) MarketConfig(scale Scale) (market.Config, error) {
 		return market.Config{}, err
 	}
 	cfg := market.Config{
-		Graph:           g,
-		InitialWealth:   sc.Credit.InitialWealth,
-		DefaultMu:       sc.Market.DefaultMu,
-		Routing:         sc.Market.Routing,
-		FastSampling:    d.fastSampling,
-		FreeRiderFrac:   sc.Market.FreeRiderFrac,
-		Horizon:         d.horizon,
-		Queue:           d.queue,
-		IncrementalGini: d.incGini,
-		Seed:            sc.Seed + 1,
+		Graph:         g,
+		InitialWealth: sc.Credit.InitialWealth,
+		DefaultMu:     sc.Market.DefaultMu,
+		Routing:       sc.Market.Routing,
+		FastSampling:  d.fastSampling,
+		FreeRiderFrac: sc.Market.FreeRiderFrac,
+		Horizon:       d.horizon,
+		Seed:          sc.Seed + 1,
 	}
 	if sc.Credit.TaxRate > 0 {
 		tax, err := credit.NewTaxPolicy(sc.Credit.TaxRate, sc.Credit.TaxThreshold)
@@ -571,16 +561,15 @@ func (sc Scenario) StreamingConfig(scale Scale) (streaming.Config, error) {
 		seeds = 1
 	}
 	cfg := streaming.Config{
-		Graph:           g,
-		StreamRate:      st.StreamRate,
-		DelaySeconds:    st.DelaySeconds,
-		UploadCap:       st.UploadCap,
-		DownloadCap:     st.DownloadCap,
-		SourceSeeds:     seeds,
-		InitialWealth:   sc.Credit.InitialWealth,
-		HorizonSeconds:  int(d.horizon),
-		IncrementalGini: d.incGini,
-		Seed:            sc.Seed + 1,
+		Graph:          g,
+		StreamRate:     st.StreamRate,
+		DelaySeconds:   st.DelaySeconds,
+		UploadCap:      st.UploadCap,
+		DownloadCap:    st.DownloadCap,
+		SourceSeeds:    seeds,
+		InitialWealth:  sc.Credit.InitialWealth,
+		HorizonSeconds: int(d.horizon),
+		Seed:           sc.Seed + 1,
 	}
 	// The streaming workload runs every countermeasure through the shared
 	// policy engine: the declarative TaxRate/Inject* knobs compile to

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"creditp2p/internal/des"
 )
 
 // fingerprint reduces an outcome to a hash of every number it carries, so
@@ -294,8 +292,8 @@ func TestScalesCompile(t *testing.T) {
 }
 
 // TestXLargeDims pins the million-peer scale's compiled dimensions without
-// paying for a 1M-node topology: population, scale-engine knobs (calendar
-// queue, incremental Gini, fast sampling) and the default horizons.
+// paying for a 1M-node topology: population, fast sampling and the default
+// horizons.
 func TestXLargeDims(t *testing.T) {
 	if ScaleXLarge.String() != "xlarge" {
 		t.Errorf("ScaleXLarge.String() = %q", ScaleXLarge.String())
@@ -314,8 +312,8 @@ func TestXLargeDims(t *testing.T) {
 	if d.horizon != 8 {
 		t.Errorf("market xlarge horizon = %v, want 8", d.horizon)
 	}
-	if !d.incGini || !d.fastSampling || d.queue != des.Calendar {
-		t.Errorf("xlarge scale engine not selected: %+v", d)
+	if !d.fastSampling {
+		t.Errorf("xlarge fast sampling not selected: %+v", d)
 	}
 	stream, err := Get("seeder-drain")
 	if err != nil {

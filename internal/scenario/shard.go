@@ -59,7 +59,6 @@ func (sc Scenario) ShardConfig(scale Scale, shards int) (shard.Config, error) {
 		Horizon:       d.horizon,
 		Seed:          sc.Seed,
 		InitialWealth: sc.Credit.InitialWealth,
-		Queue:         d.queue,
 	}
 	if sc.Churn.Pattern != ChurnNone && sc.Churn.MeanLifespan > 0 {
 		life := sc.Churn.MeanLifespan * d.ratio

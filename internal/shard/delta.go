@@ -141,8 +141,8 @@ func (e *Engine) saveDeltaWorkload(w *snapshot.Writer, spans []PeerSpan) {
 }
 
 // applyDelta patches one delta link into the engine, which must hold the
-// chain's preceding state. Queue backends are not rebuilt here — the
-// chain restore does that once after the last link.
+// chain's preceding state. The lanes' event queues are not rebuilt here —
+// the chain restore does that once after the last link.
 func (e *Engine) applyDelta(r *snapshot.Reader) error {
 	link := r.LinkHeader()
 	if err := r.Err(); err != nil {
@@ -317,8 +317,8 @@ func (e *Engine) applyDeltaWorkload(r *snapshot.Reader) error {
 	return r.Err()
 }
 
-// rebuildQueues reconstructs every lane scheduler's queue backend from
-// its slab — the epilogue of a chain restore.
+// rebuildQueues reconstructs every lane scheduler's event queue from its
+// slab — the epilogue of a chain restore.
 func (e *Engine) rebuildQueues() {
 	e.parallel(func(ln *Lane) { ln.sched.RebuildQueue() })
 }

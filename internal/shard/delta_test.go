@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/fault"
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
@@ -374,7 +373,6 @@ func deltaGuardConfig(t *testing.T) shard.Config {
 		Window:        1e-4,
 		Seed:          9,
 		InitialWealth: 30,
-		Queue:         des.Calendar,
 		Workload:      w,
 	}
 }

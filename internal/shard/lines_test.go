@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"creditp2p/internal/cacheline"
-	"creditp2p/internal/des"
 	"creditp2p/internal/shard"
 )
 
@@ -67,46 +66,40 @@ func laneSpans(t *testing.T, ln *shard.Lane, counters reflect.Value) []lineSpan 
 		words("Scheduler.dirty", field(t, field(t, sv, "dirty"), "words")),
 		interior(t, "workload counters", counters.Index(ln.S)),
 	}
-	if cal := field(t, sv, "cal"); !cal.IsNil() {
-		spans = append(spans, interior(t, "calendarQueue", cal.Elem()))
-	}
 	return spans
 }
 
 // TestLaneHotLinesDisjoint pins the false-sharing fix: no cache line
 // holds hot per-lane state of two different lanes, at P ∈ {2, 4, 8}, on
-// both sharded workloads and both queue backends.
+// both sharded workloads.
 func TestLaneHotLinesDisjoint(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		for _, wl := range []string{"market", "streaming"} {
-			for _, q := range []des.QueueKind{des.Heap, des.Calendar} {
-				cfg := marketConfig(t, p, nil)
-				if wl == "streaming" {
-					cfg = streamingConfig(t, p, nil)
-				}
-				cfg.Queue = q
-				e, err := shard.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Start(); err != nil {
-					t.Fatal(err)
-				}
-				e.StepWindow()
-				counters := field(t, reflect.ValueOf(cfg.Workload).Elem(), "lanes")
-				var lanes [][]lineSpan
-				for _, ln := range e.Lanes() {
-					lanes = append(lanes, laneSpans(t, ln, counters))
-				}
-				label := fmt.Sprintf("P=%d %s queue=%d", p, wl, q)
-				for i := range lanes {
-					for j := i + 1; j < len(lanes); j++ {
-						for _, a := range lanes[i] {
-							for _, b := range lanes[j] {
-								if a.lo <= b.hi && b.lo <= a.hi {
-									t.Errorf("%s: lane %d %s (lines %d-%d) shares a cache line with lane %d %s (lines %d-%d)",
-										label, i, a.what, a.lo, a.hi, j, b.what, b.lo, b.hi)
-								}
+			cfg := marketConfig(t, p, nil)
+			if wl == "streaming" {
+				cfg = streamingConfig(t, p, nil)
+			}
+			e, err := shard.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			e.StepWindow()
+			counters := field(t, reflect.ValueOf(cfg.Workload).Elem(), "lanes")
+			var lanes [][]lineSpan
+			for _, ln := range e.Lanes() {
+				lanes = append(lanes, laneSpans(t, ln, counters))
+			}
+			label := fmt.Sprintf("P=%d %s", p, wl)
+			for i := range lanes {
+				for j := i + 1; j < len(lanes); j++ {
+					for _, a := range lanes[i] {
+						for _, b := range lanes[j] {
+							if a.lo <= b.hi && b.lo <= a.hi {
+								t.Errorf("%s: lane %d %s (lines %d-%d) shares a cache line with lane %d %s (lines %d-%d)",
+									label, i, a.what, a.lo, a.hi, j, b.what, b.lo, b.hi)
 							}
 						}
 					}

@@ -218,7 +218,6 @@ func TestPickTimeTreesMatchStoredTrees(t *testing.T) {
 					Horizon:       20,
 					Seed:          5,
 					InitialWealth: 20,
-					Queue:         des.Calendar,
 					Churn:         ChurnConfig{MeanLifespan: 10, MeanDowntime: 4},
 					Routing:       RoutingConfig{Mode: RouteAvailability, HeavyDegree: heavy},
 					Workload:      w,

@@ -65,6 +65,7 @@ import (
 	"creditp2p/internal/des"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/snapshot"
+	"creditp2p/internal/stats"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/trace"
 	"creditp2p/internal/xrand"
@@ -176,8 +177,6 @@ type Config struct {
 	// SampleEvery is the metrics cadence, quantized up to barriers;
 	// 0 selects Horizon/100.
 	SampleEvery float64
-	// Queue selects each lane's scheduler backend.
-	Queue des.QueueKind
 	// Churn enables the peer lifecycle process.
 	Churn ChurnConfig
 	// Policies is the economic policy pipeline; hooks run at barriers.
@@ -296,6 +295,8 @@ type Engine struct {
 	rt routingState
 
 	lanes []*Lane
+	// giniHists is giniNow's reused list of the lanes' histograms.
+	giniHists [][]int64
 
 	// Coordinator state (barrier-only).
 	now        float64
@@ -442,7 +443,7 @@ func New(cfg Config) (*Engine, error) {
 			S:     s,
 			lo:    lo,
 			hi:    hi,
-			sched: des.NewSchedulerKind(cfg.Queue),
+			sched: des.NewScheduler(),
 			out:   cacheline.Slice[des.MergeBuffer](e.p),
 			liveN: int(hi - lo),
 		}
@@ -1074,43 +1075,15 @@ func (e *Engine) sample(t float64) {
 	e.supply.Add(t, float64(sup+e.pot))
 }
 
-// giniNow computes the exact wealth Gini over all live peers by a single
-// ascending walk over the lanes' balance histograms: with cumulative
-// count n< and mass m< below value v, each of the c_v peers at v
-// contributes v·n< − m< to the pairwise-difference sum D, and
-// G = D / (n·S). All accumulation is exact int64; the final division
-// matches stats.GiniInPlace bit-for-bit on the same population.
+// giniNow computes the exact wealth Gini over all live peers from the
+// lanes' balance histograms.
 func (e *Engine) giniNow() (float64, bool) {
-	maxLen := 0
+	hists := e.giniHists[:0]
 	for _, ln := range e.lanes {
-		if len(ln.hist) > maxLen {
-			maxLen = len(ln.hist)
-		}
+		hists = append(hists, ln.hist)
 	}
-	var d, cum, mass, n, total int64
-	for v := 0; v < maxLen; v++ {
-		var c int64
-		for _, ln := range e.lanes {
-			if v < len(ln.hist) {
-				c += ln.hist[v]
-			}
-		}
-		if c == 0 {
-			continue
-		}
-		d += c * (int64(v)*cum - mass)
-		cum += c
-		mass += c * int64(v)
-	}
-	n = cum
-	total = mass
-	if n == 0 {
-		return 0, false
-	}
-	if total == 0 {
-		return 0, true
-	}
-	return float64(d) / (float64(n) * float64(total)), true
+	e.giniHists = hists
+	return stats.GiniHist(hists...)
 }
 
 // Finish verifies conservation and assembles the result.

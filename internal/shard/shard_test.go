@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/policy"
 	"creditp2p/internal/shard"
@@ -38,7 +37,6 @@ func marketConfig(t *testing.T, p int, policies []policy.Policy) shard.Config {
 		Horizon:       20,
 		Seed:          7,
 		InitialWealth: 30,
-		Queue:         des.Calendar,
 		Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 		Policies:      policies,
 		Workload:      w,
@@ -63,7 +61,6 @@ func streamingConfig(t *testing.T, p int, policies []policy.Policy) shard.Config
 		Horizon:       15,
 		Seed:          11,
 		InitialWealth: 25,
-		Queue:         des.Heap,
 		Churn:         shard.ChurnConfig{MeanLifespan: 12, MeanDowntime: 4},
 		Policies:      policies,
 		Workload:      w,

@@ -324,7 +324,6 @@ func (e *Engine) configDigest() uint64 {
 	h = fnvU64(h, uint64(e.cfg.InitialWealth))
 	h = fnvU64(h, math.Float64bits(e.sampleEvery))
 	h = fnvU64(h, math.Float64bits(e.polEpoch))
-	h = fnvU64(h, uint64(e.cfg.Queue))
 	h = fnvU64(h, math.Float64bits(e.cfg.Churn.MeanLifespan))
 	h = fnvU64(h, math.Float64bits(e.cfg.Churn.MeanDowntime))
 	if e.cfg.Churn.RejoinRate != nil {

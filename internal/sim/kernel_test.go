@@ -109,7 +109,7 @@ func (w *vetoWorkload) OnJoin(int32) error {
 
 func TestJoinUnwindOnVeto(t *testing.T) {
 	w := &vetoWorkload{}
-	k, err := NewKernel(Config{InitialWealth: 9, Horizon: 10, IncrementalGini: true}, w)
+	k, err := NewKernel(Config{InitialWealth: 9, Horizon: 10}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,4 +272,16 @@ func TestRNGSeedIsolation(t *testing.T) {
 			t.Fatal("same-seed kernels diverged")
 		}
 	}
+}
+
+// TestMetricsNegativeBalancePanics pins the histogram's domain guard: a
+// negative peer balance is a ledger bug the mirror must not index with.
+func TestMetricsNegativeBalancePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("insert(-1) did not panic")
+		}
+	}()
+	m := newMetrics()
+	m.insert(-1)
 }

@@ -160,8 +160,9 @@ func loadSeries(r *snapshot.Reader, s *trace.Series) {
 	s.Values = r.F64s(0)
 }
 
-// SaveState serializes the recorded series, snapshots, and the incremental
-// sampler (when active). Scratch buffers are skipped — capacity only.
+// SaveState serializes the recorded series and snapshots. The balance
+// histogram is derived from the ledger at restore, and scratch buffers are
+// capacity only, so neither is stored.
 func (m *Metrics) SaveState(w *snapshot.Writer) {
 	w.Section("metrics")
 	saveSeries(w, m.Gini)
@@ -171,10 +172,6 @@ func (m *Metrics) SaveState(w *snapshot.Writer) {
 	for _, s := range m.Snapshots {
 		w.F64(s.Time)
 		w.F64s(s.Sorted)
-	}
-	w.Bool(m.inc != nil)
-	if m.inc != nil {
-		m.inc.SaveState(w)
 	}
 }
 
@@ -199,15 +196,29 @@ func (m *Metrics) LoadState(r *snapshot.Reader) error {
 		sorted := r.F64s(0)
 		m.Snapshots = append(m.Snapshots, Snapshot{Time: t, Sorted: sorted})
 	}
-	hasInc := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasInc != (m.inc != nil) {
-		return fmt.Errorf("sim: snapshot incremental-sampler presence %v but the reconstructed kernel has %v — config mismatch", hasInc, m.inc != nil)
-	}
-	if m.inc != nil {
-		return m.inc.LoadState(r)
+	return r.Err()
+}
+
+// rebuildHist derives the balance histogram from the restored peer table
+// and ledger. A live peer without an account, or with a balance outside
+// [0, supply], is refused rather than trusted with an allocation.
+func (k *Kernel) rebuildHist() error {
+	m := &k.Metrics
+	clear(m.hist)
+	m.n, m.total = 0, 0
+	for px := range k.Peers.peers {
+		p := &k.Peers.peers[px]
+		if !p.Alive {
+			continue
+		}
+		b, err := k.Ledger.Balance(int(p.ID))
+		if err != nil {
+			return fmt.Errorf("sim: live peer %d: %w", p.ID, err)
+		}
+		if b < 0 || b > k.Ledger.Total() {
+			return fmt.Errorf("sim: live peer %d holds %d credits, outside the supply [0, %d]", p.ID, b, k.Ledger.Total())
+		}
+		m.insert(b)
 	}
 	return nil
 }
@@ -234,9 +245,6 @@ func (k *Kernel) configDigest() uint64 {
 	put(uint64(k.cfg.MinPopulation))
 	put(uint64(len(k.cfg.SnapshotTimes)))
 	var flags uint64
-	if k.cfg.IncrementalGini {
-		flags |= 1
-	}
 	if k.cfg.Churn != nil {
 		flags |= 2
 	}
@@ -262,10 +270,6 @@ func (k *Kernel) configDigest() uint64 {
 // metrics, the graph (when one is attached), and the bound policy
 // pipeline's state. The workload's own state is serialized by the workload
 // around this call.
-//
-// The queue backend is deliberately NOT part of the state: both backends
-// deliver the identical (time, seq) order, so a heap-written snapshot
-// restores into a calendar kernel (and vice versa) byte-identically.
 func (k *Kernel) SaveState(w *snapshot.Writer) {
 	w.Section("kernel")
 	w.U64(k.configDigest())
@@ -324,6 +328,9 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 	if err := k.Metrics.LoadState(r); err != nil {
 		return err
 	}
+	if err := k.rebuildHist(); err != nil {
+		return err
+	}
 	if k.cfg.Graph != nil {
 		if err := k.cfg.Graph.LoadState(r, maxPeers); err != nil {
 			return err
@@ -338,11 +345,10 @@ func (k *Kernel) LoadState(r *snapshot.Reader, maxPeers int) error {
 // --- periodic invariant auditor ---
 
 // Audit verifies the run's invariants mid-run: credit conservation,
-// scheduler and peer-table slab/free-list integrity, and — when the
-// incremental Gini sampler is active — both its aggregate sync with the
-// ledger and its agreement with the exact sorting sampler (bit-identical
-// by contract). The fault-injection harness calls it periodically; it
-// returns errors, never panics.
+// scheduler and peer-table slab/free-list integrity, the balance
+// histogram's aggregate sync with the ledger, and its Gini's agreement with
+// the exact sorting Gini (bit-identical by contract). The fault-injection
+// harness calls it periodically; it returns errors, never panics.
 func (k *Kernel) Audit() error {
 	if err := k.Ledger.CheckConservation(); err != nil {
 		return fmt.Errorf("sim: audit: %w", err)
@@ -353,29 +359,20 @@ func (k *Kernel) Audit() error {
 	if err := k.Peers.CheckIntegrity(); err != nil {
 		return fmt.Errorf("sim: audit: %w", err)
 	}
-	if inc := k.Metrics.inc; inc != nil {
-		var pots int64
-		for _, slot := range k.external {
-			pots += k.Ledger.BalanceAt(slot)
+	if err := k.checkHist(); err != nil {
+		return fmt.Errorf("sim: audit: %w", err)
+	}
+	m := &k.Metrics
+	if m.n > 0 {
+		gHist, _ := stats.GiniHist(m.hist)
+		bals := k.balanceVector()
+		gExact, buf, err := stats.GiniIntsInPlace(bals, m.wealthBuf)
+		m.wealthBuf = buf
+		if err != nil {
+			return fmt.Errorf("sim: audit: exact Gini: %w", err)
 		}
-		want := k.Ledger.Total() - pots
-		if inc.Count() != k.Peers.Live() || inc.Total() != want {
-			return fmt.Errorf("sim: audit: incremental Gini sampler tracks %d peers / %d credits, expected %d live peers / %d credits", inc.Count(), inc.Total(), k.Peers.Live(), want)
-		}
-		if inc.Count() > 0 {
-			gInc, err := inc.Gini()
-			if err != nil {
-				return fmt.Errorf("sim: audit: incremental Gini: %w", err)
-			}
-			bals := k.balanceVector()
-			gExact, buf, err := stats.GiniIntsInPlace(bals, k.Metrics.wealthBuf)
-			k.Metrics.wealthBuf = buf
-			if err != nil {
-				return fmt.Errorf("sim: audit: exact Gini: %w", err)
-			}
-			if gInc != gExact {
-				return fmt.Errorf("sim: audit: incremental Gini %v != exact Gini %v over %d live peers — the samplers diverged", gInc, gExact, len(bals))
-			}
+		if gHist != gExact {
+			return fmt.Errorf("sim: audit: histogram Gini %v != exact Gini %v over %d live peers — the samplers diverged", gHist, gExact, len(bals))
 		}
 	}
 	return nil

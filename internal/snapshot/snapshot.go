@@ -41,7 +41,11 @@ import (
 // Version 3: sharded availability-routing state carries only the hub
 // trees (light trees build at pick time), and degree-routing state —
 // static, rebuilt from the graph — is not stored.
-const Version uint32 = 3
+// Version 4: the kernel's metrics section no longer carries a Gini-sampler
+// flag and payload (the balance histogram is derived at restore), and the
+// kernel and sharded config digests no longer fold in a queue kind or
+// sampler flag.
+const Version uint32 = 4
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
 var magic = [8]byte{'C', 'P', '2', 'P', 'S', 'N', 'A', 'P'}

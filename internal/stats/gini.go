@@ -77,6 +77,43 @@ func GiniIntsInPlace(values []int64, scratch []float64) (float64, []float64, err
 	return g, scratch, err
 }
 
+// GiniHist returns the Gini index of a population of integer balances given
+// as histograms — hists[k][v] members hold balance v, summed over k — by one
+// ascending walk over the balance domain. With cumulative count n< and mass
+// m< below value v, each of the c_v members at v contributes v·n< − m< to
+// the pairwise-difference sum D, and G = D / (n·S) for population n and
+// total S. All accumulation is exact int64, so the result is bit-identical
+// to GiniInPlace on the same balances (whose float sums are exact for
+// integer data below 2^53). ok is false for an empty population.
+func GiniHist(hists ...[]int64) (g float64, ok bool) {
+	maxLen := 0
+	for _, h := range hists {
+		maxLen = max(maxLen, len(h))
+	}
+	var d, n, total int64
+	for v := 0; v < maxLen; v++ {
+		var c int64
+		for _, h := range hists {
+			if v < len(h) {
+				c += h[v]
+			}
+		}
+		if c == 0 {
+			continue
+		}
+		d += c * (int64(v)*n - total)
+		n += c
+		total += c * int64(v)
+	}
+	if n == 0 {
+		return 0, false
+	}
+	if total == 0 {
+		return 0, true
+	}
+	return float64(d) / (float64(n) * float64(total)), true
+}
+
 // LorenzPoint is one point of a Lorenz curve: the bottom PopShare fraction
 // of the population holds the WealthShare fraction of total wealth.
 type LorenzPoint struct {

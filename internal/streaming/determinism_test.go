@@ -1,6 +1,10 @@
 package streaming
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"sort"
 	"testing"
 
 	"creditp2p/internal/credit"
@@ -115,32 +119,69 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestIncrementalGiniGoldenPaperScale pins the sampler swap at paper scale:
-// a same-seed run on the N=500 scale-free overlay must produce byte-
-// identical Results with the incremental Gini sampler on and off, including
-// every WealthGini series sample.
+// TestIncrementalGiniGoldenPaperScale pins the wealth-Gini sampler at
+// paper scale: a run on the N=500 scale-free overlay must reproduce the
+// complete Result, every WealthGini sample included, recorded with the
+// sorting Gini sampler before the histogram Gini replaced it.
 func TestIncrementalGiniGoldenPaperScale(t *testing.T) {
-	run := func(incremental bool) *Result {
-		g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(601))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Config{
-			Graph:           g,
-			StreamRate:      2,
-			DelaySeconds:    8,
-			UploadCap:       1,
-			DownloadCap:     3,
-			SourceSeeds:     4,
-			InitialWealth:   15,
-			HorizonSeconds:  250,
-			Seed:            602,
-			IncrementalGini: incremental,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	g, err := topology.ScaleFree(topology.ScaleFreeConfig{N: 500, Alpha: 2.5, MeanDegree: 20}, xrand.New(601))
+	if err != nil {
+		t.Fatal(err)
 	}
-	identicalResults(t, run(false), run(true))
+	res, err := Run(Config{
+		Graph:          g,
+		StreamRate:     2,
+		DelaySeconds:   8,
+		UploadCap:      1,
+		DownloadCap:    3,
+		SourceSeeds:    4,
+		InitialWealth:  15,
+		HorizonSeconds: 250,
+		Seed:           602,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultDigest(res); got != 0x48f20e74e06334d5 {
+		t.Errorf("result digest %#016x, want 0x48f20e74e06334d5", got)
+	}
+}
+
+// resultDigest folds every output of a Result into one FNV-1a word, for
+// pinning a run's complete output in a golden test.
+func resultDigest(res *Result) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	f := func(v float64) { put(math.Float64bits(v)) }
+	put(res.ChunksTraded)
+	put(res.ChunksSeeded)
+	put(res.Stalls)
+	put(res.Departures)
+	put(uint64(res.TaxCollected))
+	put(uint64(res.TaxRedistributed))
+	put(uint64(res.Injected))
+	f(res.GiniSpending)
+	f(res.GiniWealth)
+	put(uint64(res.WealthGini.Len()))
+	for i := range res.WealthGini.Values {
+		f(res.WealthGini.Times[i])
+		f(res.WealthGini.Values[i])
+	}
+	ids := make([]int, 0, len(res.FinalWealth))
+	for id := range res.FinalWealth {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		put(uint64(id))
+		put(uint64(res.FinalWealth[id]))
+		f(res.SpendingRate[id])
+		f(res.DownloadRate[id])
+		f(res.Continuity[id])
+	}
+	return h.Sum64()
 }

@@ -125,7 +125,6 @@ func TestStreamingDemurrageUnderDrain(t *testing.T) {
 	cfg := taxedConfig(t, 504)
 	cfg.Policies = []policy.Policy{dem, policy.NewRedistribute()}
 	cfg.Departures = []Departure{{ID: 0, AtSecond: 60}, {ID: 1, AtSecond: 100}, {ID: 2, AtSecond: 140}}
-	cfg.IncrementalGini = true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -88,11 +88,6 @@ type Config struct {
 	// ProbesPerNeighbor bounds how many buffer-map entries a buyer samples
 	// per neighbor each round (limited gossip knowledge); zero means 6.
 	ProbesPerNeighbor int
-	// IncrementalGini switches the periodic wealth-Gini sample to the
-	// Fenwick-backed incremental sampler (O(log maxBalance) per trade,
-	// O(1) per sample instead of re-sorting all N balances). Results are
-	// byte-identical to the sorting sampler.
-	IncrementalGini bool
 	// Policies are economic policy stages (income taxation,
 	// redistribution, injection, demurrage, ...) run by the kernel's
 	// policy engine — the same implementations the market workload uses.
@@ -462,12 +457,11 @@ func newSwarm(cfg Config) (*swarm, error) {
 		ringOff:  cfg.DelaySeconds * cfg.StreamRate,
 	}
 	k, err := sim.NewKernel(sim.Config{
-		Graph:           cfg.Graph,
-		InitialWealth:   cfg.InitialWealth,
-		Horizon:         float64(cfg.HorizonSeconds),
-		Seed:            cfg.Seed,
-		IncrementalGini: cfg.IncrementalGini,
-		TickEvery:       1,
+		Graph:         cfg.Graph,
+		InitialWealth: cfg.InitialWealth,
+		Horizon:       float64(cfg.HorizonSeconds),
+		Seed:          cfg.Seed,
+		TickEvery:     1,
 	}, s)
 	if err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/market"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/topology"
@@ -43,13 +42,11 @@ func TestMarketMemoryPerPeerCeiling(t *testing.T) {
 	}
 	grown := measureHeapGrowth(t, func() {
 		if _, err := RunMarket(MarketConfig{
-			Graph:           g,
-			InitialWealth:   20,
-			DefaultMu:       1,
-			Horizon:         4,
-			Queue:           QueueCalendar,
-			IncrementalGini: true,
-			Seed:            8,
+			Graph:         g,
+			InitialWealth: 20,
+			DefaultMu:     1,
+			Horizon:       4,
+			Seed:          8,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -70,16 +67,15 @@ func TestStreamingMemoryPerPeerCeiling(t *testing.T) {
 	}
 	grown := measureHeapGrowth(t, func() {
 		if _, err := RunStreaming(StreamingConfig{
-			Graph:           g,
-			StreamRate:      1,
-			DelaySeconds:    10,
-			UploadCap:       1,
-			DownloadCap:     2,
-			SourceSeeds:     6,
-			InitialWealth:   12,
-			HorizonSeconds:  20,
-			IncrementalGini: true,
-			Seed:            10,
+			Graph:          g,
+			StreamRate:     1,
+			DelaySeconds:   10,
+			UploadCap:      1,
+			DownloadCap:    2,
+			SourceSeeds:    6,
+			InitialWealth:  12,
+			HorizonSeconds: 20,
+			Seed:           10,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +114,6 @@ func TestShardRoutingMemoryPerPeerCeiling(t *testing.T) {
 			Horizon:       5,
 			Seed:          8,
 			InitialWealth: 20,
-			Queue:         des.Calendar,
 			Churn:         shard.ChurnConfig{MeanLifespan: 15, MeanDowntime: 5},
 			Routing:       shard.RoutingConfig{Mode: shard.RouteAvailability},
 			Workload:      w,
