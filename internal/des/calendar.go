@@ -433,8 +433,7 @@ func (q *calendarQueue) pop() {
 // model both simulators follow — a push lands in the draining day with
 // probability about dayTarget/count, so a target of count/64 keeps splices
 // near 1 in 64 pushes, while a large queue gets day batches long enough
-// for the slab read-ahead and the callers' UpcomingActor look-ahead to
-// overlap cache misses. The bounds keep small queues batching and cap the
+// for the slab read-ahead to overlap cache misses. The bounds keep small queues batching and cap the
 // per-day sort.
 func (q *calendarQueue) retune() {
 	q.served, q.wide = 0, false

@@ -1,7 +1,9 @@
 // Package des is a minimal discrete-event simulation kernel: a time-ordered
 // event queue with deterministic tie-breaking and a scheduler that advances
-// virtual time. Both the credit-market simulator (queue-granularity Jackson
-// dynamics) and the churn machinery are built on it.
+// virtual time. The single-threaded kernel (internal/sim) and its market
+// and streaming engines run on it. The sharded kernel keeps no event
+// queue — each lane sweeps its peers' clocks — and uses only this
+// package's barrier-merge types (XEvent, MergeBuffer, Merger).
 //
 // The kernel is built for throughput: events are plain values (a kind tag,
 // an actor index, and one payload word) held in a slab that is recycled
@@ -20,7 +22,6 @@ import (
 	"math"
 
 	"creditp2p/internal/cacheline"
-	"creditp2p/internal/snapshot"
 )
 
 // ErrPastTime is returned when an event is scheduled before the current
@@ -76,23 +77,12 @@ type node struct {
 	state   uint8
 }
 
-// slab dirty-segment granularity: slabSegSize slots per segment. A
-// segment's per-field spans total ~18 KB — coarse enough that per-segment
-// framing overhead vanishes, fine enough that a checkpoint window touching
-// a fraction of the slab writes a matching fraction of the bytes. The LIFO
-// free list concentrates slot churn, so a stable pending set re-dirties
-// the same few segments window after window.
-const (
-	slabSegShift = 9
-	slabSegSize  = 1 << slabSegShift
-)
-
 // Scheduler owns virtual time and the pending event set. It is not safe for
 // concurrent use; a simulation is a single-goroutine loop.
 type Scheduler struct {
 	// The pads keep the cursors and counters every event writes, the
-	// calendar's included, off any line another lane's scheduler writes
-	// (see cacheline).
+	// calendar's included, off any line a scheduler running concurrently
+	// on another goroutine writes (see cacheline).
 	_       cacheline.Pad
 	now     float64
 	seq     uint64
@@ -103,9 +93,6 @@ type Scheduler struct {
 	live    int           // scheduled and not cancelled
 	fired   uint64
 	dropped uint64
-	// dirty tracks slab segments touched since the last state capture —
-	// the delta-checkpoint bookkeeping, maintained on every slot mutation.
-	dirty snapshot.DirtyBits
 	// enc is the recycled per-field extraction scratch for state captures.
 	enc *encScratch
 	// warm sinks the read-ahead loads in pop so the compiler cannot drop
@@ -144,7 +131,6 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 		s.slab = append(s.slab, node{})
 		s.seqOf = append(s.seqOf, 0)
 		slot = int32(len(s.slab)) // 1-based
-		s.dirty.Grow((len(s.slab) + slabSegSize - 1) >> slabSegShift)
 	}
 	nd := &s.slab[slot-1]
 	nd.time = t
@@ -153,7 +139,6 @@ func (s *Scheduler) ScheduleAt(t float64, kind uint16, actor int32, payload int6
 	nd.kind = kind
 	nd.state = slotLive
 	s.seqOf[slot-1] = s.seq
-	s.markSlot(slot)
 	s.cal.push(t, s.seq, slot)
 	s.seq++
 	s.live++
@@ -178,7 +163,6 @@ func (s *Scheduler) Cancel(h Handle) bool {
 		return false
 	}
 	nd.state = slotDead
-	s.markSlot(h.slot)
 	s.live--
 	return true
 }
@@ -309,27 +293,10 @@ func (s *Scheduler) pop(horizon float64) (Event, bool) {
 	}
 }
 
-// UpcomingActor returns the actor of the k-th event after the current
-// queue head when the calendar's sorted drain batch holds it. ok is false
-// when fewer than k+1 entries are left in the batch. It is a prefetch hint
-// for callers that want to warm per-actor state ahead of delivery: the
-// result may include cancelled events and never affects what pop returns.
-func (s *Scheduler) UpcomingActor(k int) (int32, bool) {
-	i := s.cal.pos + k
-	if i >= len(s.cal.drain) {
-		return 0, false
-	}
-	return s.slab[s.cal.drain[i].slot-1].actor, true
-}
-
 // recycle returns a slot to the free list, invalidating outstanding handles.
 func (s *Scheduler) recycle(slot int32) {
 	nd := &s.slab[slot-1]
 	nd.state = slotFree
 	nd.gen++
 	s.free = append(s.free, slot)
-	s.markSlot(slot)
 }
-
-// markSlot flags the slab segment holding slot dirty.
-func (s *Scheduler) markSlot(slot int32) { s.dirty.Mark(int(slot-1) >> slabSegShift) }

@@ -69,35 +69,27 @@ func xeventLess(a, b *XEvent) bool {
 	return a.Seq < b.Seq
 }
 
-// MergeBuffer accumulates the cross-lane effects of one epoch window and
-// hands them back in canonical order at the barrier. Each lane appends to
-// its own buffer during the window (no sharing, no locks); the coordinator
-// then merges all lanes' buffers — through a Merger on the policy path, or
-// bucket-at-a-time on the commutative no-policy path. Buffers keep their
-// capacity across epochs (grow-once slabs), so steady-state operation
-// allocates nothing; Trim releases the slack after a traffic spike.
+// MergeBuffer accumulates the cross-lane effects of one epoch window and,
+// once sorted, hands them back in canonical order at the barrier. Each
+// lane appends to its own buffer during the window (no sharing, no
+// locks); the coordinator then merges all lanes' buffers — through a
+// Merger on the policy path, or bucket-at-a-time on the commutative
+// no-policy path. Buffers keep their capacity across epochs (grow-once
+// slabs), so steady-state operation allocates nothing; Trim releases the
+// slack after a traffic spike.
 type MergeBuffer struct {
 	ev []XEvent
 	// hw is the high-water occupancy since the last Trim.
 	hw int
 }
 
-// Add appends one effect, keeping the buffer canonically ordered. Lanes
-// drain their schedulers in time order, so appends arrive in nondecreasing
-// (Time, Src, Seq) order already — two same-lane peers emitting at the
-// float-identical instant is the only way an append can sort before the
-// tail, making the fix-up loop dead weight on real traffic. It exists so
-// the sorted-runs precondition of the k-way merge is a construction
-// invariant rather than a statistical one.
-func (b *MergeBuffer) Add(ev XEvent) {
-	n := len(b.ev)
-	b.ev = append(b.ev, ev)
-	if n > 0 && xeventBefore(b.ev[n], b.ev[n-1]) < 0 {
-		for i := n; i > 0 && xeventBefore(b.ev[i], b.ev[i-1]) < 0; i-- {
-			b.ev[i], b.ev[i-1] = b.ev[i-1], b.ev[i]
-		}
-	}
-}
+// Add appends one effect. Lanes emit in peer order, not time order; call
+// Sort before handing the buffer to a Merger.
+func (b *MergeBuffer) Add(ev XEvent) { b.ev = append(b.ev, ev) }
+
+// Sort puts the buffer in canonical (Time, Src, Seq) order, in place and
+// without allocating — the sorted-runs precondition of the k-way merge.
+func (b *MergeBuffer) Sort() { slices.SortFunc(b.ev, xeventBefore) }
 
 // Len returns the number of buffered effects.
 func (b *MergeBuffer) Len() int { return len(b.ev) }
@@ -134,8 +126,9 @@ func (b *MergeBuffer) Trim() {
 	b.hw = 0
 }
 
-// Events exposes the raw buffered slice (canonical order). The slice is
-// owned by the buffer and valid until the next Add, Reset or Trim.
+// Events exposes the raw buffered slice (append order, or canonical order
+// after Sort). The slice is owned by the buffer and valid until the next
+// Add, Sort, Reset or Trim.
 func (b *MergeBuffer) Events() []XEvent { return b.ev }
 
 // Collect merges the lanes' epoch buffers into dst in canonical
@@ -157,8 +150,8 @@ const sentinelSrc = int32(math.MaxInt32)
 
 // Merger is a loser-tree k-way merge over canonically ordered runs — the
 // barrier-merge engine of the sharded kernel's policy path. Each lane's
-// outbox is already in (Time, Src, Seq) order (MergeBuffer.Add maintains
-// it), so merging K such runs costs one tournament replay of ceil(log2 K)
+// outbox is in (Time, Src, Seq) order (MergeBuffer.Sort puts it there),
+// so merging K such runs costs one tournament replay of ceil(log2 K)
 // inline comparisons per event: O(M log K) total, against the O(M log M)
 // of re-sorting M events that are already K sorted runs. All internal
 // state is recycled across Init calls; a Merger held for a run's lifetime

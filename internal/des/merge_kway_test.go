@@ -8,8 +8,8 @@ import (
 // randomLanes builds n outboxes holding total events drawn on a coarse
 // time grid (so duplicate times across and within lanes are common) and
 // routed to lanes at random, so some lanes end up empty. Each buffer is
-// filled through Add, the same construction path the kernel uses, and is
-// therefore canonically ordered. Per-source Seq counters keep the
+// filled through Add and then sorted, the same construction path the
+// kernel uses, so it is canonically ordered. Per-source Seq counters keep the
 // (Time, Src, Seq) key set duplicate-free, matching the kernel's "one
 // effect per (Time, Seq) per peer" invariant.
 func randomLanes(rng *rand.Rand, n, total int) []*MergeBuffer {
@@ -31,6 +31,9 @@ func randomLanes(rng *rand.Rand, n, total int) []*MergeBuffer {
 			Kind:   uint16(rng.Intn(4)),
 		})
 		seq[k]++
+	}
+	for _, b := range lanes {
+		b.Sort()
 	}
 	return lanes
 }
@@ -81,21 +84,30 @@ func TestMergerAllEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeBufferAddFixup pins the Add fix-up: appends that sort before
-// the buffered tail (same-time emissions of distinct same-lane peers
-// arriving in scheduler order, not peer order) are walked back so the
-// buffer stays canonically ordered — the k-way merge's precondition.
-func TestMergeBufferAddFixup(t *testing.T) {
+// TestMergeBufferSort pins the outbox contract: Add appends in emission
+// order (a lane sweeps peer by peer, so a later peer's earlier-time
+// effect follows an earlier peer's later one), and Sort puts the buffer
+// in canonical (Time, Src, Seq) order — the k-way merge's precondition —
+// without allocating.
+func TestMergeBufferSort(t *testing.T) {
 	b := &MergeBuffer{}
 	b.Add(XEvent{Time: 1, Src: 5, Seq: 0})
+	b.Add(XEvent{Time: 2, Src: 5, Seq: 0})
 	b.Add(XEvent{Time: 1, Src: 2, Seq: 1}) // ties on time, sorts before Src 5
 	b.Add(XEvent{Time: 1, Src: 2, Seq: 0}) // sorts before its own Seq 1
-	b.Add(XEvent{Time: 2, Src: 0, Seq: 0}) // in-order fast path
+	b.Add(XEvent{Time: 0.5, Src: 9, Seq: 0})
+	if got := b.Events()[2]; got != (XEvent{Time: 1, Src: 2, Seq: 1}) {
+		t.Fatalf("Add reordered the buffer: ev[2] = %+v", got)
+	}
 	want := []XEvent{
+		{Time: 0.5, Src: 9, Seq: 0},
 		{Time: 1, Src: 2, Seq: 0},
 		{Time: 1, Src: 2, Seq: 1},
 		{Time: 1, Src: 5, Seq: 0},
-		{Time: 2, Src: 0, Seq: 0},
+		{Time: 2, Src: 5, Seq: 0},
+	}
+	if allocs := testing.AllocsPerRun(1, b.Sort); allocs != 0 {
+		t.Fatalf("Sort allocates %v, want 0", allocs)
 	}
 	got := b.Events()
 	if len(got) != len(want) {

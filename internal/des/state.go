@@ -18,11 +18,11 @@ func UnpackHandle(v uint64) Handle {
 	return Handle{slot: int32(uint32(v)), gen: uint32(v >> 32)}
 }
 
-// encScratch holds the recycled per-field extraction buffers SaveState and
-// SaveDelta transpose slab segments through: the slab is AoS in memory but
-// per-field on disk (layout independent of struct packing), and recycling
-// the transpose buffers keeps periodic checkpoints allocation-free in
-// steady state.
+// encScratch holds the recycled per-field extraction buffers SaveState
+// transposes the slab through: the slab is AoS in memory but per-field on
+// disk (layout independent of struct packing), and recycling the
+// transpose buffers keeps periodic checkpoints allocation-free in steady
+// state.
 type encScratch struct {
 	times    []float64
 	payloads []int64
@@ -54,18 +54,17 @@ func (s *Scheduler) scratch(n int) *encScratch {
 	return e
 }
 
-// transpose extracts slab[lo:hi] into the scratch's per-field buffers.
-func (s *Scheduler) transpose(lo, hi int) *encScratch {
-	e := s.scratch(hi - lo)
-	for i := lo; i < hi; i++ {
+// transpose extracts the slab into the scratch's per-field buffers.
+func (s *Scheduler) transpose() *encScratch {
+	e := s.scratch(len(s.slab))
+	for i := range s.slab {
 		nd := &s.slab[i]
-		j := i - lo
-		e.times[j] = nd.time
-		e.payloads[j] = nd.payload
-		e.actors[j] = nd.actor
-		e.gens[j] = nd.gen
-		e.kinds[j] = nd.kind
-		e.states[j] = nd.state
+		e.times[i] = nd.time
+		e.payloads[i] = nd.payload
+		e.actors[i] = nd.actor
+		e.gens[i] = nd.gen
+		e.kinds[i] = nd.kind
+		e.states[i] = nd.state
 	}
 	return e
 }
@@ -77,8 +76,7 @@ func (s *Scheduler) transpose(lo, hi int) *encScratch {
 // by their seq — restore derives it, moving the sort from every checkpoint
 // to the rare restore. Cancelled-but-unpopped entries are included via
 // their slot state; their lazy recycling order is part of the deterministic
-// free-list evolution. Capturing clears the slab's dirty map: the snapshot
-// is a fresh delta base.
+// free-list evolution.
 func (s *Scheduler) SaveState(w *snapshot.Writer) {
 	w.Section("sched")
 	w.F64(s.now)
@@ -87,7 +85,7 @@ func (s *Scheduler) SaveState(w *snapshot.Writer) {
 	w.U64(s.dropped)
 	w.Int(s.live)
 
-	e := s.transpose(0, len(s.slab))
+	e := s.transpose()
 	w.F64s(e.times)
 	w.I64s(e.payloads)
 	w.I32s(e.actors)
@@ -96,123 +94,6 @@ func (s *Scheduler) SaveState(w *snapshot.Writer) {
 	w.U8s(e.states)
 	w.U64s(s.seqOf)
 	w.I32s(s.free)
-	s.dirty.Clear()
-}
-
-// SaveDelta serializes only the slab segments touched since the last
-// capture (full or delta), plus the scalars and the free list — the
-// incremental complement of SaveState. The dirty map is cleared: the delta
-// extends the chain, and the next delta is relative to this one.
-func (s *Scheduler) SaveDelta(w *snapshot.Writer) {
-	w.Section("dsched")
-	w.F64(s.now)
-	w.U64(s.seq)
-	w.U64(s.fired)
-	w.U64(s.dropped)
-	w.Int(s.live)
-	w.Int(len(s.slab))
-	w.I32s(s.free)
-	w.Int(s.dirty.Count())
-	s.dirty.Walk(func(seg int) {
-		lo := seg << slabSegShift
-		hi := lo + slabSegSize
-		if hi > len(s.slab) {
-			hi = len(s.slab)
-		}
-		w.U32(uint32(seg))
-		e := s.transpose(lo, hi)
-		w.F64s(e.times)
-		w.I64s(e.payloads)
-		w.I32s(e.actors)
-		w.U32s(e.gens)
-		w.U16s(e.kinds)
-		w.U8s(e.states)
-		w.U64s(s.seqOf[lo:hi])
-	})
-	s.dirty.Clear()
-}
-
-// ApplyDelta patches a delta serialized by SaveDelta into the receiver,
-// which must already hold the chain's preceding state. The queue is
-// NOT rebuilt — apply every delta in the chain, then call RebuildQueue
-// once. Chain-order integrity (base id, link index, predecessor CRC) is the
-// caller's concern via snapshot.ValidateChain.
-func (s *Scheduler) ApplyDelta(r *snapshot.Reader) error {
-	r.Section("dsched")
-	now := r.F64()
-	seq := r.U64()
-	fired := r.U64()
-	dropped := r.U64()
-	live := r.Int()
-	slabLen := r.Int()
-	free := r.I32s(0)
-	segs := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if slabLen < len(s.slab) {
-		return fmt.Errorf("des: delta shrinks the slab from %d to %d slots", len(s.slab), slabLen)
-	}
-	for len(s.slab) < slabLen {
-		s.slab = append(s.slab, node{})
-		s.seqOf = append(s.seqOf, 0)
-	}
-	for _, sl := range free {
-		if sl < 1 || int(sl) > slabLen {
-			return fmt.Errorf("des: delta free list references slot %d outside the %d-slot slab", sl, slabLen)
-		}
-	}
-	maxSeg := (slabLen + slabSegSize - 1) >> slabSegShift
-	for k := 0; k < segs; k++ {
-		seg := int(r.U32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if seg < 0 || seg >= maxSeg {
-			return fmt.Errorf("des: delta segment %d outside the %d-segment slab", seg, maxSeg)
-		}
-		lo := seg << slabSegShift
-		hi := lo + slabSegSize
-		if hi > slabLen {
-			hi = slabLen
-		}
-		n := hi - lo
-		times := r.F64s(n)
-		payloads := r.I64s(n)
-		actors := r.I32s(n)
-		gens := r.U32s(n)
-		kinds := r.U16s(n)
-		states := r.U8s(n)
-		seqs := r.U64s(n)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(times) != n || len(payloads) != n || len(actors) != n || len(gens) != n ||
-			len(kinds) != n || len(states) != n || len(seqs) != n {
-			return fmt.Errorf("des: delta segment %d spans %d/%d/%d/%d/%d/%d/%d slots, want %d",
-				seg, len(times), len(payloads), len(actors), len(gens), len(kinds), len(states), len(seqs), n)
-		}
-		for i := 0; i < n; i++ {
-			s.slab[lo+i] = node{
-				time:    times[i],
-				payload: payloads[i],
-				actor:   actors[i],
-				gen:     gens[i],
-				kind:    kinds[i],
-				state:   states[i],
-			}
-		}
-		copy(s.seqOf[lo:hi], seqs)
-	}
-	s.now = now
-	s.seq = seq
-	s.fired = fired
-	s.dropped = dropped
-	s.live = live
-	s.free = free
-	s.dirty.Grow(maxSeg)
-	s.dirty.Clear()
-	return nil
 }
 
 // pendingFromSlab derives the queued multiset — every non-free slot,
@@ -244,10 +125,10 @@ func (s *Scheduler) pendingFromSlab() ([]uint64, []int32) {
 	return seqs, slots
 }
 
-// RebuildQueue reconstructs the calendar's pending set from the slab — the
-// epilogue of a state or chain restore. Delivery is exact (time, seq)
+// rebuildQueue reconstructs the calendar's pending set from the slab — the
+// epilogue of a state restore. Delivery is exact (time, seq)
 // order, so a resumed run is byte-identical to the uninterrupted one.
-func (s *Scheduler) RebuildQueue() {
+func (s *Scheduler) rebuildQueue() {
 	seqs, slots := s.pendingFromSlab()
 	s.cal = newCalendarQueue()
 	q := &s.cal
@@ -312,9 +193,7 @@ func (s *Scheduler) LoadState(r *snapshot.Reader) error {
 	}
 	s.seqOf = seqs
 	s.free = free
-	s.dirty.Grow((n + slabSegSize - 1) >> slabSegShift)
-	s.dirty.Clear()
-	s.RebuildQueue()
+	s.rebuildQueue()
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"creditp2p/internal/cacheline"
-	"creditp2p/internal/des"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
 )
@@ -43,10 +42,6 @@ type ShardMarket struct {
 	// fr marks free riders (static after setup, derived from each peer's
 	// stream prefix).
 	fr []uint64
-	// pend holds each live peer's next attempt event for churn retire.
-	pend []des.Handle
-	// hscratch is the recycled handle-packing buffer for delta captures.
-	hscratch []uint64
 	// per-lane counters, summed into Result.Counters at finish.
 	lanes []shardMarketCounters
 }
@@ -86,7 +81,6 @@ func (m *ShardMarket) Setup(e *shard.Engine) error {
 	m.e = e
 	n := e.N()
 	m.fr = make([]uint64, (n+63)/64)
-	m.pend = make([]des.Handle, n)
 	m.lanes = make([]shardMarketCounters, e.Shards())
 	if m.cfg.FreeRiderFrac > 0 {
 		for g := 0; g < n; g++ {
@@ -102,18 +96,16 @@ func (m *ShardMarket) freeRider(g int32) bool {
 	return m.fr[g>>6]&(1<<(uint(g)&63)) != 0
 }
 
-// Arm schedules peer g's first attempt.
-func (m *ShardMarket) Arm(ln *shard.Lane, g int32) {
-	delay := m.e.Rand(g).Exponential(m.cfg.Mu)
-	m.pend[g] = ln.ScheduleAt(ln.Now()+delay, shard.KindUser, g, 0)
+// Arm returns peer g's first attempt time after t.
+func (m *ShardMarket) Arm(ln *shard.Lane, g int32, t float64) float64 {
+	return t + m.e.Rand(g).Exponential(m.cfg.Mu)
 }
 
 // OnEvent handles one spend attempt: pick a provider uniformly from the
-// neighborhood, transfer on success, and always schedule the next
-// attempt — bankrupt peers keep attempting, which is what lets
+// neighborhood, transfer on success, and always return the next attempt
+// time — bankrupt peers keep attempting, which is what lets
 // redistribution revive them.
-func (m *ShardMarket) OnEvent(ln *shard.Lane, ev des.Event) {
-	g := ev.Actor
+func (m *ShardMarket) OnEvent(ln *shard.Lane, g int32, t float64) float64 {
 	r := m.e.Rand(g)
 	c := &m.lanes[ln.S]
 	c.attempts++
@@ -121,33 +113,19 @@ func (m *ShardMarket) OnEvent(ln *shard.Lane, ev des.Event) {
 	if len(nbrs) == 0 {
 		c.failIsolated++
 	} else {
-		dst := ln.PickNeighbor(ev.Time, g, nbrs, r)
+		dst := ln.PickNeighbor(t, g, nbrs, r)
 		switch {
 		case !m.e.AliveEpoch(dst):
 			c.failOffline++
 		case m.freeRider(dst):
 			c.failFreeRider++
-		case !ln.Spend(ev.Time, g, dst, 0, m.cfg.Amount):
+		case !ln.Spend(t, g, dst, 0, m.cfg.Amount):
 			c.failInsolvent++
 		default:
 			c.purchases++
 		}
 	}
-	delay := r.Exponential(m.cfg.Mu)
-	m.pend[g] = ln.ScheduleAt(ev.Time+delay, shard.KindUser, g, 0)
-}
-
-// WarmActor implements shard.ActorWarmer: it touches the peer's pending
-// handle (the one workload array OnEvent hits that the kernel cannot see)
-// and warms the routing sampler.
-func (m *ShardMarket) WarmActor(g int32) uint32 {
-	return uint32(m.pend[g].Pack()) + m.e.WarmSampler(g)
-}
-
-// Retire cancels the departing peer's pending attempt.
-func (m *ShardMarket) Retire(ln *shard.Lane, g int32) {
-	ln.Cancel(m.pend[g])
-	m.pend[g] = des.Handle{}
+	return t + r.Exponential(m.cfg.Mu)
 }
 
 // Finish sums the per-lane counters into the result.
@@ -178,15 +156,10 @@ func (m *ShardMarket) Digest() uint64 {
 	return h
 }
 
-// SaveState serializes pending handles and counters; the free-rider map
-// is replayed from the stream prefixes at rebuild and needs no bytes.
+// SaveState serializes the per-lane counters; the free-rider map is
+// replayed from the stream prefixes at rebuild and needs no bytes.
 func (m *ShardMarket) SaveState(w *snapshot.Writer) {
 	w.Section("mkshard")
-	hs := make([]uint64, len(m.pend))
-	for i, h := range m.pend {
-		hs[i] = h.Pack()
-	}
-	w.U64s(hs)
 	w.Int(len(m.lanes))
 	for _, c := range m.lanes {
 		w.U64(c.attempts)
@@ -196,80 +169,11 @@ func (m *ShardMarket) SaveState(w *snapshot.Writer) {
 		w.U64(c.failFreeRider)
 		w.U64(c.failIsolated)
 	}
-}
-
-// SaveDelta implements shard.DeltaWorkload: only the pending handles of
-// the peers in the dirty spans are serialized (a peer's handle changes
-// only when one of its own events fires, which dirties its segment), plus
-// the per-lane counters, which are a few words per shard.
-func (m *ShardMarket) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
-	w.Section("dmkshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		if cap(m.hscratch) < n {
-			m.hscratch = make([]uint64, n)
-		}
-		hs := m.hscratch[:n]
-		for i := range hs {
-			hs[i] = m.pend[sp.Lo+int32(i)].Pack()
-		}
-		w.U64s(hs)
-	}
-	w.Int(len(m.lanes))
-	for _, c := range m.lanes {
-		w.U64(c.attempts)
-		w.U64(c.purchases)
-		w.U64(c.failInsolvent)
-		w.U64(c.failOffline)
-		w.U64(c.failFreeRider)
-		w.U64(c.failIsolated)
-	}
-}
-
-// LoadDelta applies a delta written by SaveDelta with the same spans.
-func (m *ShardMarket) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) error {
-	r.Section("dmkshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		hs := r.U64s(n)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(hs) != n {
-			return fmt.Errorf("market: shard delta span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
-		}
-		for i, v := range hs {
-			m.pend[sp.Lo+int32(i)] = des.UnpackHandle(v)
-		}
-	}
-	if got := r.Int(); got != len(m.lanes) {
-		return fmt.Errorf("market: shard delta has %d lane counter sets, want %d", got, len(m.lanes))
-	}
-	for i := range m.lanes {
-		c := &m.lanes[i]
-		c.attempts = r.U64()
-		c.purchases = r.U64()
-		c.failInsolvent = r.U64()
-		c.failOffline = r.U64()
-		c.failFreeRider = r.U64()
-		c.failIsolated = r.U64()
-	}
-	return r.Err()
 }
 
 // LoadState restores the workload at the same shard count.
 func (m *ShardMarket) LoadState(r *snapshot.Reader) error {
 	r.Section("mkshard")
-	hs := r.U64s(len(m.pend))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(hs) != len(m.pend) {
-		return fmt.Errorf("market: shard snapshot has %d pending handles, want %d", len(hs), len(m.pend))
-	}
-	for i, v := range hs {
-		m.pend[i] = des.UnpackHandle(v)
-	}
 	if got := r.Int(); got != len(m.lanes) {
 		return fmt.Errorf("market: shard snapshot has %d lane counter sets, want %d", got, len(m.lanes))
 	}

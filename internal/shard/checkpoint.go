@@ -85,11 +85,10 @@ type Checkpointer struct {
 	laneW []*snapshot.Writer // raw per-lane fragments, encoded in parallel
 	wkW   *snapshot.Writer   // raw workload fragment
 	parts [][]byte
-	spans []PeerSpan
 
 	sealBuf []byte // recycled seal target, owned by the in-flight write
 
-	chainIdx  int    // next link index; 0 means the next checkpoint is a base
+	chainIdx  int // next link index; 0 means the next checkpoint is a base
 	baseID    uint64
 	prevCRC   uint64
 	baseBytes int    // sealed size of the current base
@@ -188,10 +187,7 @@ func (c *Checkpointer) Checkpoint() error {
 			ln.save(w)
 			ln.dirty.Clear()
 		})
-		c.wkW.Reset()
-		e.saveWorkload(c.wkW)
 	} else {
-		c.spans = e.appendDirtySpans(c.spans[:0])
 		e.saveDeltaShared(c.coord)
 		lw := c.laneW
 		e.parallel(func(ln *Lane) {
@@ -199,9 +195,9 @@ func (c *Checkpointer) Checkpoint() error {
 			w.Reset()
 			ln.saveDelta(w)
 		})
-		c.wkW.Reset()
-		e.saveDeltaWorkload(c.wkW, c.spans)
 	}
+	c.wkW.Reset()
+	e.saveWorkload(c.wkW)
 	e.captureGen++
 	c.lastGen = e.captureGen
 

@@ -51,19 +51,16 @@ func words(what string, v reflect.Value) lineSpan {
 }
 
 // laneSpans collects the records lane ln writes on every event: the lane
-// itself, its dirty words, histogram and outbox headers, its scheduler
-// (cursors, dirty words, calendar queue) and its workload counters.
+// itself, its dirty words, histogram and outbox headers, and its workload
+// counters.
 func laneSpans(t *testing.T, ln *shard.Lane, counters reflect.Value) []lineSpan {
 	t.Helper()
 	lv := reflect.ValueOf(ln).Elem()
-	sv := field(t, lv, "sched").Elem()
 	spans := []lineSpan{
 		interior(t, "Lane", lv),
 		words("Lane.dirty", field(t, field(t, lv, "dirty"), "words")),
 		words("Lane.hist", field(t, lv, "hist")),
 		words("Lane.out", field(t, lv, "out")),
-		interior(t, "Scheduler", sv),
-		words("Scheduler.dirty", field(t, field(t, sv, "dirty"), "words")),
 		interior(t, "workload counters", counters.Index(ln.S)),
 	}
 	return spans

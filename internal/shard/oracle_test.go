@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"creditp2p/internal/des"
 	"creditp2p/internal/snapshot"
 	"creditp2p/internal/topology"
 	"creditp2p/internal/xrand"
@@ -97,23 +96,20 @@ type oracleWorkload struct {
 	e      *Engine
 	o      *lazySlab
 	check  bool
-	pend   []des.Handle
 	counts [][3]uint64 // per lane: picks, spends, mismatches
 }
 
 func (w *oracleWorkload) Setup(e *Engine) error {
 	w.e = e
-	w.pend = make([]des.Handle, e.n)
 	w.counts = make([][3]uint64, e.p)
 	return nil
 }
 
-func (w *oracleWorkload) Arm(ln *Lane, g int32) {
-	w.pend[g] = ln.ScheduleAt(ln.Now()+w.e.rng[g].Exponential(2), KindUser, g, 0)
+func (w *oracleWorkload) Arm(ln *Lane, g int32, t float64) float64 {
+	return t + w.e.rng[g].Exponential(2)
 }
 
-func (w *oracleWorkload) OnEvent(ln *Lane, ev des.Event) {
-	g := ev.Actor
+func (w *oracleWorkload) OnEvent(ln *Lane, g int32, t float64) float64 {
 	r := &w.e.rng[g]
 	c := &w.counts[ln.S]
 	if nbrs := w.e.Neighbors(g); len(nbrs) > 0 {
@@ -121,7 +117,7 @@ func (w *oracleWorkload) OnEvent(ln *Lane, ev des.Event) {
 		if w.check {
 			shadow := *r
 			want := w.o.pick(g, nbrs, &shadow)
-			dst = ln.PickNeighbor(ev.Time, g, nbrs, r)
+			dst = ln.PickNeighbor(t, g, nbrs, r)
 			if dst != want || shadow != *r {
 				c[2]++
 			}
@@ -129,16 +125,11 @@ func (w *oracleWorkload) OnEvent(ln *Lane, ev des.Event) {
 			dst = w.o.pick(g, nbrs, r)
 		}
 		c[0]++
-		if w.e.AliveEpoch(dst) && ln.Spend(ev.Time, g, dst, 0, 1) {
+		if w.e.AliveEpoch(dst) && ln.Spend(t, g, dst, 0, 1) {
 			c[1]++
 		}
 	}
-	w.pend[g] = ln.ScheduleAt(ev.Time+r.Exponential(2), KindUser, g, 0)
-}
-
-func (w *oracleWorkload) Retire(ln *Lane, g int32) {
-	ln.Cancel(w.pend[g])
-	w.pend[g] = des.Handle{}
+	return t + r.Exponential(2)
 }
 
 func (w *oracleWorkload) total(k int) uint64 {
@@ -157,11 +148,6 @@ func (w *oracleWorkload) Finish(res *Result) {
 func (w *oracleWorkload) Digest() uint64 { return 0x6f7261636c65 } // "oracle"
 
 func (w *oracleWorkload) SaveState(sw *snapshot.Writer) {
-	hs := make([]uint64, len(w.pend))
-	for i, h := range w.pend {
-		hs[i] = h.Pack()
-	}
-	sw.U64s(hs)
 	for _, c := range w.counts {
 		sw.U64(c[0])
 		sw.U64(c[1])
@@ -169,13 +155,6 @@ func (w *oracleWorkload) SaveState(sw *snapshot.Writer) {
 }
 
 func (w *oracleWorkload) LoadState(r *snapshot.Reader) error {
-	hs := r.U64s(len(w.pend))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i, v := range hs {
-		w.pend[i] = des.UnpackHandle(v)
-	}
 	for i := range w.counts {
 		w.counts[i][0] = r.U64()
 		w.counts[i][1] = r.U64()

@@ -423,18 +423,6 @@ func (ln *Lane) naivePick(t float64, nbrs []int32, r *xrand.SplitMix64) int32 {
 	return nbrs[len(nbrs)-1]
 }
 
-// WarmSampler is the routing half of the dispatch prefetch: when the
-// kernel knows peer g fires shortly, touch its stored tree's total (a
-// pick-time tree has nothing stored to warm). Owner-lane only; returns a
-// value folding the load so the compiler keeps it.
-func (e *Engine) WarmSampler(g int32) uint32 {
-	rt := &e.rt
-	if rt.fenSlab == nil || rt.mode == RouteAvailability && e.part.Degree(g) <= rt.heavyDeg {
-		return 0
-	}
-	return uint32(math.Float32bits(e.tree(g)[0]))
-}
-
 // RoutingWeight returns peer g's barrier-frozen routing weight — the
 // mirror value in-window sampling is proportional to (1 for RouteUniform).
 // Tests use it as the exact reference distribution.

@@ -1,17 +1,19 @@
 // Package shard is the multi-core simulation kernel: it partitions the
-// peer population, the overlay topology and the event calendar into P
-// per-shard lanes that advance in lockstep windows under a conservative
-// synchronization boundary, so one run uses P cores while staying
-// deterministic — and, stronger, shard-count-invariant.
+// peer population, the overlay topology and the per-peer event clocks
+// into P per-shard lanes that advance in lockstep windows under a
+// conservative synchronization boundary, so one run uses P cores while
+// staying deterministic — and, stronger, shard-count-invariant.
 //
 // # Execution model
 //
 // Peers are split into P contiguous index blocks (topology.Partition).
 // Each lane owns its block's state — balances, per-peer random streams,
-// liveness flags, a des.Scheduler holding only its peers' events — and
-// runs the discrete-event loop for one fixed window [t, t+W) with no
-// access to any other lane's mutable state. Effects that reach another
-// peer (credit payments, always; a peer never mutates a neighbor
+// liveness flags and each peer's two clocks (the workload clock and, with
+// churn, the lifecycle clock) — and runs one fixed window [t, t+W] with no
+// access to any other lane's mutable state. A lane sweeps its peers in
+// index order and runs each peer's clocks up to the window end before it
+// moves to the next peer: there is no event queue. Effects that reach
+// another peer (credit payments, always; a peer never mutates a neighbor
 // directly) are buffered as des.XEvents in per-destination-shard merge
 // buffers. At the window barrier the buffered effects are applied in the
 // canonical (time, source peer, intra-instant seq) order, lifecycle
@@ -21,6 +23,17 @@
 // fixed lookahead of W: no lane ever observes an effect "from the
 // future" of another lane, because all cross-peer effects materialize
 // only at barriers.
+//
+// The peer-major sweep is exact, not an approximation of time-ordered
+// dispatch. Inside a window a peer's decisions read only its own stream
+// and balance, window-start liveness and barrier-frozen routing weights,
+// and every credit it is owed lands at the barrier, so the time order
+// across peers is inert: interleaving two peers' events differently
+// changes no draw and no balance. What the barrier does observe in time
+// order — the policy path's transfer sequence and the lifecycle deltas —
+// each lane sorts at the end of its sweep, still inside the parallel
+// dispatch phase, so the barrier merges the same sorted runs a
+// time-ordered dispatch would have produced.
 //
 // # Determinism and shard-count invariance
 //
@@ -55,9 +68,11 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,18 +88,6 @@ import (
 
 // ErrBadConfig reports an invalid engine configuration.
 var ErrBadConfig = errors.New("shard: invalid config")
-
-// Engine-owned event kinds; workloads use KindUser and above.
-const (
-	// KindDepart is a lifecycle event: the peer goes offline, its balance
-	// burns.
-	KindDepart uint16 = 1
-	// KindRejoin is a lifecycle event: the peer comes back with a fresh
-	// endowment.
-	KindRejoin uint16 = 2
-	// KindUser is the first workload-defined event kind.
-	KindUser uint16 = 16
-)
 
 // ChurnConfig is the sharded kernel's peer-lifecycle model: each peer
 // alternates between online spells of mean MeanLifespan and offline
@@ -118,42 +121,36 @@ type ChurnConfig struct {
 func (c ChurnConfig) Enabled() bool { return c.MeanLifespan > 0 && c.MeanDowntime > 0 }
 
 // Workload is the per-lane behavior the engine drives — the sharded
-// analogs of the single-threaded kernel's sim.Workload. All hooks run on
-// the lane that owns the peer; implementations must confine themselves to
-// the peer's own state, the engine's epoch-consistent views, and the
-// peer's own random stream.
+// analogs of the single-threaded kernel's sim.Workload. Each live peer
+// runs one self-rescheduling workload clock: the engine stores the time of
+// the peer's next workload event and calls OnEvent when the clock comes
+// due. All hooks run on the lane that owns the peer; implementations must
+// confine themselves to the peer's own state, the engine's
+// epoch-consistent views, and the peer's own random stream.
 type Workload interface {
 	// Setup allocates global workload state. It runs single-threaded
 	// before any lane starts; per-peer stream draws made here (role
 	// assignment) count as part of each peer's deterministic stream
 	// prefix.
 	Setup(e *Engine) error
-	// Arm schedules peer g's initial events, at start and after a rejoin.
-	Arm(ln *Lane, g int32)
-	// OnEvent handles a workload event (Kind >= KindUser) for ev.Actor.
-	OnEvent(ln *Lane, ev des.Event)
-	// Retire cancels peer g's pending events as it departs.
-	Retire(ln *Lane, g int32)
+	// Arm starts peer g's workload clock at time t — at start and after a
+	// rejoin — and returns the time of its first event.
+	Arm(ln *Lane, g int32, t float64) float64
+	// OnEvent handles peer g's workload event at time t and returns the
+	// time of its next one (+Inf for none). A departure stops the clock
+	// without a call.
+	OnEvent(ln *Lane, g int32, t float64) float64
 	// Finish folds the workload's counters into the result.
 	Finish(res *Result)
 	// Digest returns a stable identity of the workload's configuration,
 	// folded into the snapshot digest so restores refuse mismatches.
 	Digest() uint64
 	// SaveState / LoadState serialize the workload's mutable state for
-	// checkpoint/restore at a window boundary.
+	// checkpoint/restore at a window boundary. Both full and delta
+	// captures carry it whole, so it should stay small (per-lane
+	// counters); per-peer clocks are the engine's.
 	SaveState(w *snapshot.Writer)
 	LoadState(r *snapshot.Reader) error
-}
-
-// ActorWarmer is an optional Workload extension: WarmActor touches the
-// workload's own per-actor state (pending-event handles, role tables) as
-// a prefetch hint when the kernel knows the actor will fire shortly. It
-// runs on the actor's owner lane and must be a pure read — returning a
-// value folded from the loads keeps them observable, as
-// Engine.WarmSampler does for a stored tree's total — so that simulation
-// results never depend on whether a warm happened.
-type ActorWarmer interface {
-	WarmActor(g int32) uint32
 }
 
 // Config parameterizes a sharded run.
@@ -198,20 +195,20 @@ type lifeEvent struct {
 }
 
 // Peer dirty-segment granularity: peerSegSize peers per segment. A
-// segment's bal+rng+flags spans total ~8.5 KB. Segments are lane-local
-// (anchored at the lane's lo), so they never straddle a partition
-// boundary and each lane marks its own bitmap race-free during dispatch;
-// coordinator-side mutations (merged deliveries, policy transfers) mark
-// the destination's lane single-threaded at barriers.
+// segment's bal+rng+flags+next spans total ~12.5 KB (16.5 KB with the
+// lifecycle clock). Segments are lane-local (anchored at the lane's lo),
+// so they never straddle a partition boundary and each lane marks its
+// own bitmap race-free during dispatch; coordinator-side mutations
+// (merged deliveries, policy transfers) mark the destination's lane
+// single-threaded at barriers.
 const (
 	peerSegShift = 9
 	peerSegSize  = 1 << peerSegShift
 )
 
-// Lane is one shard's execution context: the scheduler over its peers'
-// events, the per-destination-shard outboxes, the lane-local slices of
-// the metric accumulators, and scratch. Workload hooks receive the lane
-// they run on.
+// Lane is one shard's execution context: its block of peers, the
+// per-destination-shard outboxes, the lane-local slices of the metric
+// accumulators, and scratch. Workload hooks receive the lane they run on.
 //
 // Lanes write their own records on every event from different cores, so
 // each lane's hot state owns its cache lines: the struct opens and closes
@@ -224,14 +221,14 @@ type Lane struct {
 	S int
 	// lo, hi bound the lane's global peer indices [lo, hi).
 	lo, hi int32
-	sched  *des.Scheduler
 	// out[d] buffers effects destined for shard d this window.
 	out []des.MergeBuffer
 	// deaths/births are this window's lifecycle deltas.
 	deaths, births []lifeEvent
 	// hist is the lane's balance histogram over its live peers: hist[b]
 	// live peers hold exactly b credits. Merged across lanes at barriers
-	// for the exact global Gini.
+	// for the exact global Gini. hist, liveN and supply are derived from
+	// the per-peer arrays, so snapshots do not store them.
 	hist []int64
 	// liveN / supply track the lane's live-peer count and balance sum.
 	liveN  int
@@ -242,9 +239,8 @@ type Lane struct {
 	// transfers / crossTransfers / lost count applied effects.
 	transfers, crossTransfers, lostCount uint64
 	lostAmount                           int64
-	// warm sinks dispatch's read-ahead loads so the compiler keeps them;
-	// per-lane because dispatch runs concurrently across lanes.
-	warm uint32
+	// fired counts the events (workload and lifecycle) the lane has run.
+	fired uint64
 	// pick is the naive-rescan mode's recycled weight scratch and fen the
 	// pick-time Fenwick tree scratch (both grow-once to the lane's max
 	// observed degree).
@@ -282,6 +278,12 @@ type Engine struct {
 	bal   []int64
 	rng   []xrand.SplitMix64
 	flags []uint8 // bit 0: currently alive (owner-lane view)
+	// next[g] is peer g's workload clock: the time of its next workload
+	// event, +Inf while offline. life[g] is its lifecycle clock: the next
+	// departure while online, the rejoin while offline, +Inf for none.
+	// life is nil without churn.
+	next []float64
+	life []float64
 
 	// aliveEpoch is the shared liveness bitmap as of the window start:
 	// written only at barriers, read freely by every lane during the
@@ -329,8 +331,6 @@ type Engine struct {
 	runScratch  [][]des.XEvent
 	merger      des.Merger
 	host        engineHost
-	// warmActor is the workload's optional per-actor prefetch hook.
-	warmActor ActorWarmer
 	// warm sinks applyMerged's read-ahead loads so the compiler keeps
 	// them; the value is meaningless and never read.
 	warm uint32
@@ -428,6 +428,10 @@ func New(cfg Config) (*Engine, error) {
 	e.bal = make([]int64, e.n)
 	e.rng = make([]xrand.SplitMix64, e.n)
 	e.flags = make([]uint8, e.n)
+	e.next = make([]float64, e.n)
+	if cfg.Churn.Enabled() {
+		e.life = make([]float64, e.n)
+	}
 	e.aliveEpoch = make([]uint64, (e.n+63)/64)
 	for i := 0; i < e.n; i++ {
 		e.rng[i] = xrand.NewSplitMix64(cfg.Seed, int64(i))
@@ -443,7 +447,6 @@ func New(cfg Config) (*Engine, error) {
 			S:     s,
 			lo:    lo,
 			hi:    hi,
-			sched: des.NewScheduler(),
 			out:   cacheline.Slice[des.MergeBuffer](e.p),
 			liveN: int(hi - lo),
 		}
@@ -464,7 +467,7 @@ func New(cfg Config) (*Engine, error) {
 		for d := range ln.out {
 			ln.out[d].Reset()
 		}
-		ln.sched.RunUntil(ln.e.bNow, ln.dispatch)
+		ln.sweep(ln.e.bNow)
 		ln.busy = time.Since(t0)
 	}
 	e.applyFn = func(ln *Lane) { ln.applyInbound() }
@@ -479,7 +482,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Workload.Setup(e); err != nil {
 		return nil, err
 	}
-	e.warmActor, _ = cfg.Workload.(ActorWarmer)
 	return e, nil
 }
 
@@ -491,7 +493,7 @@ func presizedSeries(name string, n int) *trace.Series {
 	return s
 }
 
-// Start arms every peer's initial events and records the t=0 sample.
+// Start sets every peer's initial clocks and records the t=0 sample.
 func (e *Engine) Start() error {
 	if e.started {
 		return errors.New("shard: already started")
@@ -509,10 +511,10 @@ func (e *Engine) Start() error {
 	// precede workload draws so each peer's stream prefix is fixed.
 	for _, ln := range e.lanes {
 		for g := ln.lo; g < ln.hi; g++ {
-			if e.cfg.Churn.Enabled() {
-				ln.schedule(e.rng[g].Exponential(1/e.cfg.Churn.MeanLifespan), KindDepart, g, 0)
+			if e.life != nil {
+				e.life[g] = e.rng[g].Exponential(1 / e.cfg.Churn.MeanLifespan)
 			}
-			e.cfg.Workload.Arm(ln, g)
+			e.next[g] = e.cfg.Workload.Arm(ln, g, 0)
 		}
 	}
 	e.sample(0)
@@ -533,8 +535,8 @@ func (e *Engine) StepWindow() bool {
 		tEnd = e.horizon
 	}
 	e.bNow = tEnd
-	// Phase 1 (dispatch): every lane drains its events in [now, tEnd] in
-	// parallel. Lanes only touch their own partition of the peer state
+	// Phase 1 (dispatch): every lane sweeps its peers' events up to tEnd
+	// in parallel. Lanes only touch their own partition of the peer state
 	// plus the read-only epoch views, so the goroutine schedule cannot
 	// influence results.
 	t0 := time.Now()
@@ -648,48 +650,61 @@ func (e *Engine) parallel(fn func(ln *Lane)) {
 	wg.Wait()
 }
 
-// warmAhead is dispatch's software-pipelining distance: while handling
-// one event, the hot per-peer state of the actor this many events ahead
-// is touched so its cache misses overlap with the current event's work.
-const warmAhead = 4
-
-// dispatch routes one event: lifecycle kinds to the engine, the rest to
-// the workload.
-func (ln *Lane) dispatch(ev des.Event) {
-	// The calendar's drain batch exposes upcoming actors; touch the
-	// warmAhead-th one's random-access state (RNG stream, balance, flags,
-	// neighbor row) now. Pure reads — a hint that never affects delivery
-	// order or simulation state.
-	if g, ok := ln.sched.UpcomingActor(warmAhead); ok {
-		e := ln.e
-		w := uint32(e.rng[g]) + uint32(e.bal[g]) + uint32(e.flags[g])
-		if nbrs := e.part.Neighbors(g); len(nbrs) > 0 {
-			w += uint32(nbrs[0])
+// sweep runs the window's events, up to and including tEnd, peer by peer
+// in index order: each peer's earlier clock fires while it is due, the
+// lifecycle clock first on an exact tie. Afterwards the lane puts what
+// the barrier consumes in time order into canonical order — its
+// lifecycle deltas always, its outboxes on the policy path (the
+// no-policy apply is order-free).
+func (ln *Lane) sweep(tEnd float64) {
+	e := ln.e
+	wl := e.cfg.Workload
+	next, life := e.next, e.life
+	for g := ln.lo; g < ln.hi; g++ {
+		fired := ln.fired
+		for {
+			if life != nil && life[g] <= next[g] {
+				if life[g] > tEnd {
+					break
+				}
+				ln.lifecycle(g, life[g])
+			} else {
+				if next[g] > tEnd {
+					break
+				}
+				next[g] = wl.OnEvent(ln, g, next[g])
+			}
+			ln.fired++
 		}
-		if e.warmActor != nil {
-			w += e.warmActor.WarmActor(g)
+		// Any event may mutate its peer's state (balance, stream, flags,
+		// clocks), so the peer's segment is dirty once one fires.
+		if ln.fired != fired {
+			ln.markPeer(g)
 		}
-		ln.warm += w
 	}
-	// Any event handler may mutate its actor's state (balance, RNG
-	// stream, flags, workload slot), so the actor's segment is dirty the
-	// moment its event fires.
-	ln.markPeer(ev.Actor)
-	switch ev.Kind {
-	case KindDepart:
-		ln.depart(ev)
-	case KindRejoin:
-		ln.rejoin(ev)
-	default:
-		ln.e.cfg.Workload.OnEvent(ln, ev)
+	if e.engine != nil {
+		for d := range ln.out {
+			ln.out[d].Sort()
+		}
+	}
+	slices.SortFunc(ln.deaths, lifeCmp)
+	slices.SortFunc(ln.births, lifeCmp)
+}
+
+// lifecycle fires peer g's lifecycle clock at time t: a departure while
+// the peer is online, a rejoin while it is offline.
+func (ln *Lane) lifecycle(g int32, t float64) {
+	if ln.e.flags[g]&aliveBit != 0 {
+		ln.depart(g, t)
+	} else {
+		ln.rejoin(g, t)
 	}
 }
 
-// depart takes a peer offline: burn its balance, retire its workload
-// events, schedule the rejoin, and queue the bitmap delta.
-func (ln *Lane) depart(ev des.Event) {
+// depart takes a peer offline: burn its balance, stop its workload clock,
+// set the rejoin time, and queue the bitmap delta.
+func (ln *Lane) depart(g int32, t float64) {
 	e := ln.e
-	g := ev.Actor
 	e.flags[g] &^= aliveBit
 	b := e.bal[g]
 	ln.hist[b]--
@@ -697,13 +712,11 @@ func (ln *Lane) depart(ev des.Event) {
 	ln.supply -= b
 	ln.burned += b
 	e.bal[g] = 0
-	e.cfg.Workload.Retire(ln, g)
-	if d := ln.rejoinDelay(g, ev.Time); !math.IsInf(d, 1) {
-		ln.schedule(d, KindRejoin, g, 0)
-	}
+	e.next[g] = math.Inf(1)
+	e.life[g] = t + ln.rejoinDelay(g, t)
 	// Deaths carry the encoded peer (-1-g) from the start, so the barrier
 	// merge consumes the lane runs without a re-encode pass.
-	ln.deaths = appendLife(ln.deaths, lifeEvent{t: ev.Time, g: -1 - g})
+	ln.deaths = append(ln.deaths, lifeEvent{t: t, g: -1 - g})
 }
 
 // rejoinDelay draws the departed peer's offline spell from its own
@@ -745,10 +758,11 @@ func (ln *Lane) rejoinDelay(g int32, t0 float64) float64 {
 	}
 }
 
-// rejoin brings a peer back online with a fresh endowment.
-func (ln *Lane) rejoin(ev des.Event) {
+// rejoin brings a peer back online with a fresh endowment. The lifespan
+// is drawn before the workload re-arms, so each peer's stream is consumed
+// in a fixed order.
+func (ln *Lane) rejoin(g int32, t float64) {
 	e := ln.e
-	g := ev.Actor
 	e.flags[g] |= aliveBit
 	w := e.cfg.InitialWealth
 	e.bal[g] = w
@@ -757,50 +771,10 @@ func (ln *Lane) rejoin(ev des.Event) {
 	ln.liveN++
 	ln.supply += w
 	ln.minted += w
-	ln.schedule(e.rng[g].Exponential(1/e.cfg.Churn.MeanLifespan), KindDepart, g, 0)
-	e.cfg.Workload.Arm(ln, g)
-	ln.births = appendLife(ln.births, lifeEvent{t: ev.Time, g: g})
+	e.life[g] = t + e.rng[g].Exponential(1/e.cfg.Churn.MeanLifespan)
+	e.next[g] = e.cfg.Workload.Arm(ln, g, t)
+	ln.births = append(ln.births, lifeEvent{t: t, g: g})
 }
-
-// appendLife appends one lifecycle delta, keeping the lane run (time,
-// peer)-ordered. A lane dispatches events in time order, so the fix-up
-// loop only fires on float-identical times of distinct peers — it exists
-// to make mergeLife's sorted-runs precondition a construction invariant
-// rather than a statistical one.
-func appendLife(ls []lifeEvent, le lifeEvent) []lifeEvent {
-	n := len(ls)
-	ls = append(ls, le)
-	for i := n; i > 0 && lifeBefore(ls[i], ls[i-1]); i-- {
-		ls[i], ls[i-1] = ls[i-1], ls[i]
-	}
-	return ls
-}
-
-// schedule registers an event after delay on this lane; scheduling can
-// only fail on NaN/past times, which are construction bugs here.
-func (ln *Lane) schedule(delay float64, kind uint16, actor int32, payload int64) des.Handle {
-	h, err := ln.sched.Schedule(delay, kind, actor, payload)
-	if err != nil {
-		panic(fmt.Sprintf("shard: lane %d schedule: %v", ln.S, err))
-	}
-	return h
-}
-
-// ScheduleAt registers a workload event at absolute time t for peer
-// actor.
-func (ln *Lane) ScheduleAt(t float64, kind uint16, actor int32, payload int64) des.Handle {
-	h, err := ln.sched.ScheduleAt(t, kind, actor, payload)
-	if err != nil {
-		panic(fmt.Sprintf("shard: lane %d schedule: %v", ln.S, err))
-	}
-	return h
-}
-
-// Cancel cancels a pending event scheduled on this lane.
-func (ln *Lane) Cancel(h des.Handle) { ln.sched.Cancel(h) }
-
-// Now returns the lane's current virtual time.
-func (ln *Lane) Now() float64 { return ln.sched.Now() }
 
 // growHist widens the lane histogram to cover balance b.
 func (ln *Lane) growHist(b int64) {
@@ -842,7 +816,7 @@ func (ln *Lane) Spend(t float64, src, dst int32, seq uint32, amount int64) bool 
 	ln.histMove(pre, pre-amount)
 	ln.supply -= amount
 	ln.out[e.part.ShardOf(dst)].Add(des.XEvent{
-		Time: t, Src: src, Dst: dst, Seq: seq, Amount: amount, Kind: KindUser,
+		Time: t, Src: src, Dst: dst, Seq: seq, Amount: amount,
 	})
 	ln.transfers++
 	if e.part.ShardOf(dst) != ln.S {
@@ -888,10 +862,9 @@ func (ln *Lane) deliver(xev des.XEvent) {
 
 // collectMerged k-way-merges every lane's per-destination outboxes into
 // the recycled mergeAll scratch in canonical (time, src, seq) order — the
-// policy path's barrier merge. Each outbox is already canonically ordered
-// (des.MergeBuffer.Add maintains the invariant), so the loser tree does
-// O(M log K) work over the K = P² runs instead of re-sorting M events at
-// O(M log M).
+// policy path's barrier merge. Each lane sorted its outboxes at the end of
+// its sweep, in parallel, so the loser tree does O(M log K) work over the
+// K = P² runs instead of re-sorting M events at O(M log M).
 func (e *Engine) collectMerged() {
 	e.runScratch = e.runScratch[:0]
 	for _, src := range e.lanes {
@@ -1034,7 +1007,7 @@ func mergeLife(dst []lifeEvent, runs [][]lifeEvent, posp *[]int) []lifeEvent {
 			if pos[i] >= len(r) {
 				continue
 			}
-			if best < 0 || lifeBefore(r[pos[i]], runs[best][pos[best]]) {
+			if best < 0 || lifeCmp(r[pos[i]], runs[best][pos[best]]) < 0 {
 				best = i
 			}
 		}
@@ -1044,9 +1017,11 @@ func mergeLife(dst []lifeEvent, runs [][]lifeEvent, posp *[]int) []lifeEvent {
 	return dst
 }
 
-func lifeBefore(a, b lifeEvent) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// lifeCmp orders lifecycle deltas by (time, peer), a death before a
+// birth of the same peer at the same instant.
+func lifeCmp(a, b lifeEvent) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
 	}
 	ag, bg := a.g, b.g
 	if ag < 0 {
@@ -1055,10 +1030,10 @@ func lifeBefore(a, b lifeEvent) bool {
 	if bg < 0 {
 		bg = -1 - bg
 	}
-	if ag != bg {
-		return ag < bg
+	if c := cmp.Compare(ag, bg); c != 0 {
+		return c
 	}
-	return a.g < b.g
+	return cmp.Compare(a.g, b.g)
 }
 
 // sample records the metric series at time t from the lane accumulators.
@@ -1106,7 +1081,7 @@ func (e *Engine) Finish() (*Result, error) {
 		lostAmt += ln.lostAmount
 		transfers += ln.transfers
 		lost += ln.lostCount
-		events += ln.sched.Fired()
+		events += ln.fired
 		live += ln.liveN
 	}
 	if sup+e.pot != minted-burned {
@@ -1170,7 +1145,7 @@ func (e *Engine) RunStats() Stats {
 func (e *Engine) EventsFired() uint64 {
 	var n uint64
 	for _, ln := range e.lanes {
-		n += ln.sched.Fired()
+		n += ln.fired
 	}
 	return n
 }

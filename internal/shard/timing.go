@@ -14,7 +14,8 @@ import (
 //
 // Phases per window:
 //
-//	Dispatch — parallel lane event loops over [t, t+W)
+//	Dispatch — parallel lane sweeps up to t+W, including each lane's
+//	         end-of-sweep sorts
 //	Merge    — k-way merge of the outboxes into canonical order
 //	         (policy path only; zero on the commutative no-policy path)
 //	Apply    — delivering buffered effects (parallel per-lane inbound

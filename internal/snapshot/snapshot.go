@@ -45,7 +45,11 @@ import (
 // flag and payload (the balance histogram is derived at restore), and the
 // kernel and sharded config digests no longer fold in a queue kind or
 // sampler flag.
-const Version uint32 = 4
+// Version 5: sharded snapshots carry each peer's workload and lifecycle
+// clocks instead of per-lane scheduler sections and workload event
+// handles, and no longer store the lanes' balance histograms, live counts
+// or supplies (restore derives them from the per-peer arrays).
+const Version uint32 = 5
 
 // magic identifies a creditp2p snapshot; exactly 8 bytes.
 var magic = [8]byte{'C', 'P', '2', 'P', 'S', 'N', 'A', 'P'}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"creditp2p/internal/cacheline"
-	"creditp2p/internal/des"
 	"creditp2p/internal/shard"
 	"creditp2p/internal/snapshot"
 )
@@ -38,10 +37,7 @@ type ShardStreaming struct {
 	cfg   ShardConfig
 	e     *shard.Engine
 	seeds []uint64
-	pend  []des.Handle
 	lanes []shardStreamCounters
-	// hscratch is the recycled handle-packing buffer for delta captures.
-	hscratch []uint64
 }
 
 // shardStreamCounters is one lane's counter record. Every event
@@ -82,7 +78,6 @@ func (s *ShardStreaming) Setup(e *shard.Engine) error {
 	s.e = e
 	n := e.N()
 	s.seeds = make([]uint64, (n+63)/64)
-	s.pend = make([]des.Handle, n)
 	s.lanes = make([]shardStreamCounters, e.Shards())
 	if s.cfg.SeedFrac > 0 {
 		for g := 0; g < n; g++ {
@@ -98,18 +93,16 @@ func (s *ShardStreaming) isSeed(g int32) bool {
 	return s.seeds[g>>6]&(1<<(uint(g)&63)) != 0
 }
 
-// Arm schedules peer g's first round with a phase jitter inside one
-// period.
-func (s *ShardStreaming) Arm(ln *shard.Lane, g int32) {
-	phase := s.e.Rand(g).Float64() * s.cfg.RoundPeriod
-	s.pend[g] = ln.ScheduleAt(ln.Now()+phase, shard.KindUser, g, 0)
+// Arm returns peer g's first round time: t plus a phase jitter inside
+// one period.
+func (s *ShardStreaming) Arm(ln *shard.Lane, g int32, t float64) float64 {
+	return t + s.e.Rand(g).Float64()*s.cfg.RoundPeriod
 }
 
 // OnEvent runs one playback round: StreamRate chunk requests, each with
-// its own provider draw and intra-instant sequence number, then the next
-// round one period later.
-func (s *ShardStreaming) OnEvent(ln *shard.Lane, ev des.Event) {
-	g := ev.Actor
+// its own provider draw and intra-instant sequence number, then returns
+// the next round's time one period later.
+func (s *ShardStreaming) OnEvent(ln *shard.Lane, g int32, t float64) float64 {
 	r := s.e.Rand(g)
 	c := &s.lanes[ln.S]
 	c.rounds++
@@ -119,32 +112,20 @@ func (s *ShardStreaming) OnEvent(ln *shard.Lane, ev des.Event) {
 	} else {
 		for k := 0; k < s.cfg.StreamRate; k++ {
 			c.chunkRequests++
-			dst := ln.PickNeighbor(ev.Time, g, nbrs, r)
+			dst := ln.PickNeighbor(t, g, nbrs, r)
 			switch {
 			case !s.e.AliveEpoch(dst):
 				c.chunksOffline++
 			case s.isSeed(dst):
 				c.chunksSeeded++
-			case !ln.Spend(ev.Time, g, dst, uint32(k), s.cfg.ChunkPrice):
+			case !ln.Spend(t, g, dst, uint32(k), s.cfg.ChunkPrice):
 				c.chunksStalled++
 			default:
 				c.chunksTraded++
 			}
 		}
 	}
-	s.pend[g] = ln.ScheduleAt(ev.Time+s.cfg.RoundPeriod, shard.KindUser, g, 0)
-}
-
-// WarmActor implements shard.ActorWarmer: it touches the peer's pending
-// handle and warms the routing sampler ahead of the round's picks.
-func (s *ShardStreaming) WarmActor(g int32) uint32 {
-	return uint32(s.pend[g].Pack()) + s.e.WarmSampler(g)
-}
-
-// Retire cancels the departing peer's next round.
-func (s *ShardStreaming) Retire(ln *shard.Lane, g int32) {
-	ln.Cancel(s.pend[g])
-	s.pend[g] = des.Handle{}
+	return t + s.cfg.RoundPeriod
 }
 
 // Finish sums the per-lane counters into the result.
@@ -178,15 +159,10 @@ func (s *ShardStreaming) Digest() uint64 {
 	return h
 }
 
-// SaveState serializes pending handles and counters; seed roles replay
-// from the stream prefixes at rebuild.
+// SaveState serializes the per-lane counters; seed roles replay from
+// the stream prefixes at rebuild.
 func (s *ShardStreaming) SaveState(w *snapshot.Writer) {
 	w.Section("stshard")
-	hs := make([]uint64, len(s.pend))
-	for i, h := range s.pend {
-		hs[i] = h.Pack()
-	}
-	w.U64s(hs)
 	w.Int(len(s.lanes))
 	for _, c := range s.lanes {
 		w.U64(c.rounds)
@@ -197,81 +173,11 @@ func (s *ShardStreaming) SaveState(w *snapshot.Writer) {
 		w.U64(c.chunksStalled)
 		w.U64(c.failIsolated)
 	}
-}
-
-// SaveDelta implements shard.DeltaWorkload: only the pending handles of
-// the peers in the dirty spans are serialized, plus the per-lane
-// counters.
-func (s *ShardStreaming) SaveDelta(w *snapshot.Writer, spans []shard.PeerSpan) {
-	w.Section("dstshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		if cap(s.hscratch) < n {
-			s.hscratch = make([]uint64, n)
-		}
-		hs := s.hscratch[:n]
-		for i := range hs {
-			hs[i] = s.pend[sp.Lo+int32(i)].Pack()
-		}
-		w.U64s(hs)
-	}
-	w.Int(len(s.lanes))
-	for _, c := range s.lanes {
-		w.U64(c.rounds)
-		w.U64(c.chunkRequests)
-		w.U64(c.chunksSeeded)
-		w.U64(c.chunksTraded)
-		w.U64(c.chunksOffline)
-		w.U64(c.chunksStalled)
-		w.U64(c.failIsolated)
-	}
-}
-
-// LoadDelta applies a delta written by SaveDelta with the same spans.
-func (s *ShardStreaming) LoadDelta(r *snapshot.Reader, spans []shard.PeerSpan) error {
-	r.Section("dstshard")
-	for _, sp := range spans {
-		n := int(sp.Hi - sp.Lo)
-		hs := r.U64s(n)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(hs) != n {
-			return fmt.Errorf("streaming: shard delta span [%d,%d) carries %d handles, want %d", sp.Lo, sp.Hi, len(hs), n)
-		}
-		for i, v := range hs {
-			s.pend[sp.Lo+int32(i)] = des.UnpackHandle(v)
-		}
-	}
-	if got := r.Int(); got != len(s.lanes) {
-		return fmt.Errorf("streaming: shard delta has %d lane counter sets, want %d", got, len(s.lanes))
-	}
-	for i := range s.lanes {
-		c := &s.lanes[i]
-		c.rounds = r.U64()
-		c.chunkRequests = r.U64()
-		c.chunksSeeded = r.U64()
-		c.chunksTraded = r.U64()
-		c.chunksOffline = r.U64()
-		c.chunksStalled = r.U64()
-		c.failIsolated = r.U64()
-	}
-	return r.Err()
 }
 
 // LoadState restores the workload at the same shard count.
 func (s *ShardStreaming) LoadState(r *snapshot.Reader) error {
 	r.Section("stshard")
-	hs := r.U64s(len(s.pend))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(hs) != len(s.pend) {
-		return fmt.Errorf("streaming: shard snapshot has %d pending handles, want %d", len(hs), len(s.pend))
-	}
-	for i, v := range hs {
-		s.pend[i] = des.UnpackHandle(v)
-	}
 	if got := r.Int(); got != len(s.lanes) {
 		return fmt.Errorf("streaming: shard snapshot has %d lane counter sets, want %d", got, len(s.lanes))
 	}
