@@ -56,7 +56,7 @@ func TestPeerMajorSweepMatchesTimeOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			shard.UseReferenceDispatch(ref)
-			windows, merged, lifecycle := 0, 0, uint64(0)
+			windows, merged := 0, 0
 			for sweep.StepWindow() {
 				if !ref.StepWindow() {
 					t.Fatalf("%s: reference run ended early", label)
@@ -99,8 +99,7 @@ func TestPeerMajorSweepMatchesTimeOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, label, a, b)
-			lifecycle = a.Joins + a.Departures
-			if windows < 32 || merged == 0 || lifecycle == 0 {
+			if lifecycle := a.Joins + a.Departures; windows < 32 || merged == 0 || lifecycle == 0 {
 				t.Fatalf("%s: degenerate comparison: %d windows, %d merged effects, %d lifecycle events",
 					label, windows, merged, lifecycle)
 			}
